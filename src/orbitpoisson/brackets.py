@@ -24,13 +24,25 @@ from .levi import (
     build_levi,
     quasiroot_system_type,
 )
-from .multivec import Multivector, ad_action, phi, project_to_m, r_matrix, schouten
-from .roots import Coords, RootSystem, add, highest_root_coefficients, negate, sub
+from .multivec import (
+    Multivector,
+    ad_action,
+    diagonal_bivector,
+    phi,
+    project_to_m,
+    r_matrix,
+    schouten,
+)
+from .roots import (
+    Coords,
+    InternalInvariantError,
+    RootSystem,
+    add,
+    highest_root_coefficients,
+    negate,
+    sub,
+)
 from .scalars import GaussianRational, as_scalar
-
-
-class InternalInvariantError(RuntimeError):
-    """An internal consistency check failed; indicates a bug, not bad input."""
 
 
 class LinearForm:
@@ -104,14 +116,9 @@ def realize(
     simple Levi generators; a failure signals inconsistent class data.
     """
     levi = b.levi
-    out = Multivector.zero(2)
-    for alpha in levi.m_positive:
-        c = b.coeffs[levi.project(alpha)]
-        if not c:
-            continue
-        i = basis.index_of_root[alpha]
-        j = basis.index_of_root[negate(alpha)]
-        out._accumulate((j, i), -c)
+    out = diagonal_bivector(
+        basis, {alpha: b.coeffs[levi.project(alpha)] for alpha in levi.m_positive}
+    )
     if check:
         for g in sorted(levi.gamma):
             simple = basis.rs.simple_roots[g - 1]
@@ -121,20 +128,6 @@ def realize(
                     raise InternalInvariantError(
                         f"realized bivector is not invariant under root {root}"
                     )
-    return out
-
-
-def diagonal_bivector(basis: ChevalleyBasis, coeffs) -> Multivector:
-    """Diagonal tensor sum c(alpha) E_alpha ^ E_{-alpha} with one coefficient
-    per positive root (no class constraint)."""
-    out = Multivector.zero(2)
-    for alpha, c in coeffs.items():
-        cc = as_scalar(c)
-        if not cc:
-            continue
-        i = basis.index_of_root[alpha]
-        j = basis.index_of_root[negate(alpha)]
-        out._accumulate((j, i), -cc)
     return out
 
 
@@ -723,17 +716,7 @@ def quasiclassical_poisson_check(
 
 
 def bivector_matrix_rank(b: InvariantBivector, basis: ChevalleyBasis) -> int:
-    """Rank of the bivector as an antisymmetric pairing on the tangent space."""
-    from .linalg import rank_of
-
+    """Rank of the bivector as an antisymmetric pairing on the tangent space:
+    each nonzero diagonal term c E_alpha ^ E_{-alpha} is a 2x2 block."""
     levi = b.levi
-    rows = []
-    for alpha in levi.m_positive:
-        c = b.coeffs[levi.project(alpha)]
-        if not c:
-            continue
-        i = basis.index_of_root[alpha]
-        j = basis.index_of_root[negate(alpha)]
-        rows.append({j: c})
-        rows.append({i: -c})
-    return rank_of(rows)
+    return 2 * sum(1 for alpha in levi.m_positive if b.coeffs[levi.project(alpha)])

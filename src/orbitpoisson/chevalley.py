@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .roots import Coords, RootSystem, add, negate, sub
+from .linalg import SpanSolver
+from .roots import Coords, InternalInvariantError, RootSystem, add, negate, sub
 from .scalars import GaussianRational, as_scalar
 
 #: A Lie-algebra element: sparse map from basis index to exact coefficient.
@@ -60,12 +61,7 @@ class ChevalleyBasis:
 
     def string_length_p(self, a: Coords, b: Coords) -> int:
         """Largest p with b - p*a a root."""
-        p = 0
-        cur = sub(b, a)
-        while cur in self.rs._root_set:
-            p += 1
-            cur = sub(cur, a)
-        return p
+        return _string_length(self.rs._root_set, a, b)
 
     def killing_opposite(self, alpha: Coords) -> int:
         """Trace-form pairing of the integral vectors x_alpha, x_{-alpha}."""
@@ -108,10 +104,10 @@ class ChevalleyBasis:
 
     def _solve_t_basis(self) -> list[list[Fraction]]:
         # coordinates of t_i (Killing dual of alpha_i) in the coroot basis
-        n = self.rank
-        K = [[Fraction(v) for v in row] for row in self._killing_h]
-        rhs = [[Fraction(self.rs.cartan[i][a]) for a in range(n)] for i in range(n)]
-        return [_solve_linear(K, rhs[i]) for i in range(n)]
+        # the Gram matrix is symmetric, so expressing row i of the Cartan
+        # matrix in its rows solves K x = cartan[i]
+        solver = SpanSolver([dict(enumerate(row)) for row in self._killing_h])
+        return [solver.express(dict(enumerate(row))) for row in self.rs.cartan]
 
     def _weight_table(self) -> dict[Coords, tuple[Fraction, ...]]:
         # weights[mu][i] = mu(t_i)
@@ -306,14 +302,6 @@ def _integral_constants(
     root_set = rs._root_set
     order = {r: k for k, r in enumerate(positives)}
 
-    def pval(a: Coords, b: Coords) -> int:
-        p = 0
-        cur = sub(b, a)
-        while cur in root_set:
-            p += 1
-            cur = sub(cur, a)
-        return p
-
     special: dict[tuple[Coords, Coords], Fraction] = {}
 
     def n_pos(a: Coords, b: Coords) -> Fraction:
@@ -353,13 +341,13 @@ def _integral_constants(
                 extraspecial[s] = (a, b)
                 break
         else:
-            raise AssertionError(f"no decomposition pair for {s}")
+            raise InternalInvariantError(f"no decomposition pair for {s}")
 
     for s in positives:  # ordered by height, so lower constants exist first
         if sum(s) < 2:
             continue
         a, b = extraspecial[s]
-        special[(a, b)] = Fraction(pval(a, b) + 1)
+        special[(a, b)] = Fraction(_string_length(root_set, a, b) + 1)
         ns = norm[s]
         pairs = [
             (x, sub(s, x))
@@ -379,7 +367,10 @@ def _integral_constants(
             if d2 in root_set:
                 t3 = n_any(negate(a), x) * n_any(y, negate(b)) / norm[d2]
             value = ns * (t2 + t3) / special[(a, b)]
-            assert value.denominator == 1 and value != 0, (s, x, y, value)
+            if value.denominator != 1 or not value:
+                raise InternalInvariantError(
+                    f"structure constant {value} of {x} + {y} = {s} is not a nonzero integer"
+                )
             special[(x, y)] = value
 
     table: dict[tuple[Coords, Coords], int] = {}
@@ -388,22 +379,18 @@ def _integral_constants(
             s = add(u, v)
             if s in root_set:
                 value = n_any(u, v)
-                assert value.denominator == 1
+                if value.denominator != 1:
+                    raise InternalInvariantError(
+                        f"structure constant {value} of {u} + {v} is not an integer"
+                    )
                 table[(u, v)] = int(value)
     return table
 
 
-def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a small nonsingular exact system by Gaussian elimination."""
-    n = len(matrix)
-    M = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if M[r][col])
-        M[col], M[piv] = M[piv], M[col]
-        inv = Fraction(1) / M[col][col]
-        M[col] = [v * inv for v in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [v - f * w for v, w in zip(M[r], M[col])]
-    return [M[i][n] for i in range(n)]
+def _string_length(root_set, a: Coords, b: Coords) -> int:
+    p = 0
+    cur = sub(b, a)
+    while cur in root_set:
+        p += 1
+        cur = sub(cur, a)
+    return p

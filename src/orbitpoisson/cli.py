@@ -68,11 +68,15 @@ def _parse_gamma(text: str | None, rank: int) -> frozenset[int]:
     return frozenset(vals)
 
 
-def _parse_scalars(text: str, what: str) -> list:
+def _parse_scalar(text: str, what: str):
     try:
-        return [parse_scalar(x) for x in text.split(",")]
+        return parse_scalar(text)
     except ValueError as exc:
         raise ConfigError(f"bad {what} {text!r}: {exc}") from exc
+
+
+def _parse_scalars(text: str, what: str) -> list:
+    return [_parse_scalar(x, what) for x in text.split(",")]
 
 
 def _quasiroot_label(levi: LeviDatum, q) -> str:
@@ -160,14 +164,8 @@ def _require_lambda(args, levi: LeviDatum) -> LinearForm:
         raise ConfigError(str(exc)) from exc
 
 
-def _classify_one(rs, basis, gamma, seed, lam_text=None) -> dict:
+def _classify_one(rs, basis, gamma, seed, lam=None) -> dict:
     levi = build_levi(rs, gamma)
-    lam = None
-    if lam_text is not None:
-        try:
-            lam = LinearForm(levi, _parse_scalars(lam_text, "lambda"))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
     verdict = classify_good(rs, gamma, basis, rng_seed=seed, lam=lam)
     entry = {
         "gamma": sorted(gamma),
@@ -196,6 +194,9 @@ def cmd_classify(args) -> tuple[dict, int]:
     rs, basis, levi = _build(args)
     report = _base_report(args, "classify")
     if args.all_gamma:
+        if args.lam is not None:
+            raise ConfigError("--lambda cannot be combined with --all-gamma: "
+                              "its length rank - |Gamma| differs between orbits")
         sweep = []
         indices = list(range(1, args.rank + 1))
         for size in range(args.rank + 1):
@@ -203,7 +204,8 @@ def cmd_classify(args) -> tuple[dict, int]:
                 sweep.append(_classify_one(rs, basis, frozenset(combo), args.seed))
         report["result"] = {"sweep": sweep}
     else:
-        report["result"] = _classify_one(rs, basis, levi.gamma, args.seed, args.lam)
+        lam = None if args.lam is None else _require_lambda(args, levi)
+        report["result"] = _classify_one(rs, basis, levi.gamma, args.seed, lam)
     return report, EXIT_OK
 
 
@@ -228,7 +230,7 @@ def _solve_outcome(args, basis, levi) -> tuple[SolverOutcome, dict]:
         if args.seeds is None:
             raise ConfigError("recursion mode requires --seeds")
         seeds = _parse_scalars(args.seeds, "seeds")
-        K = parse_scalar(args.K or "0")
+        K = _parse_scalar(args.K or "0", "K")
         outcome = solve_recursion(levi, seeds, K)
         if outcome.is_success:
             sq = verify_square(outcome.solution, K, basis)
@@ -242,8 +244,8 @@ def _solve_outcome(args, basis, levi) -> tuple[SolverOutcome, dict]:
         lam = _require_lambda(args, levi)
         if args.K is None:
             raise ConfigError("compatible mode requires --K")
-        K = parse_scalar(args.K)
-        seed = parse_scalar(args.seed_c or "1")
+        K = _parse_scalar(args.K, "K")
+        seed = _parse_scalar(args.seed_c or "1", "seed-c")
         outcome = solve_compatible(levi, lam, K, args.sign, seed, basis)
         meta.update(
             {
@@ -343,15 +345,17 @@ def _load_config(path: str) -> dict:
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    if "--config" not in argv:
+    at = next((k for k, a in enumerate(argv)
+               if a == "--config" or a.startswith("--config=")), None)
+    if at is None:
         return argv
-    at = argv.index("--config")
-    try:
-        path = argv[at + 1]
-    except IndexError:
-        raise ConfigError("--config requires a path")
+    if argv[at] == "--config":
+        if at + 1 == len(argv):
+            raise ConfigError("--config requires a path")
+        path, rest = argv[at + 1], argv[:at] + argv[at + 2 :]
+    else:
+        path, rest = argv[at].partition("=")[2], argv[:at] + argv[at + 1 :]
     cfg = _load_config(path)
-    rest = argv[:at] + argv[at + 2 :]
     lead = []
     if not rest or rest[0].startswith("-"):
         try:

@@ -21,7 +21,7 @@ from .brackets import InternalInvariantError, InvariantBivector, realize
 from .chevalley import ChevalleyBasis
 from .levi import LeviDatum, Quasiroot
 from .linalg import SpanSolver, kernel_basis, rank_of
-from .multivec import Multivector, ad_action, project_to_m, schouten
+from .multivec import Multivector, _insert_front, ad_action, project_to_m, schouten
 from .roots import Coords, RootSystem, add, negate
 from .scalars import GaussianRational, as_scalar
 
@@ -99,15 +99,11 @@ def _ad_root_monomial(basis: ChevalleyBasis, gamma_root: Coords, monomial):
             continue
         coeff = basis.structure_constant(gamma_root, mu)
         t_idx = basis.index_of_root[target]
-        rest = monomial[:p] + monomial[p + 1 :]
-        # insert t_idx into rest with the derivation sign
-        lo = 0
-        while lo < len(rest) and rest[lo] < t_idx:
-            lo += 1
-        if lo < len(rest) and rest[lo] == t_idx:
+        ins = _insert_front(t_idx, monomial[:p] + monomial[p + 1 :])
+        if ins is None:
             continue
-        sign = -1 if (p + lo) % 2 else 1
-        yield rest[:lo] + (t_idx,) + rest[lo:], coeff * sign
+        isign, image = ins
+        yield image, coeff * (-isign if p & 1 else isign)
 
 
 def invariant_basis(
@@ -335,11 +331,8 @@ def de_rham_betti(
 ) -> list[int]:
     """Even-degree Betti numbers of the orbit from the length generating
     function of minimal coset representatives, computed by an orbit walk on a
-    dominant weight with exactly the prescribed stabilizer."""
-    if rs.weyl_order > weyl_bound:
-        raise WeylBoundExceeded(
-            f"Weyl group order {rs.weyl_order} exceeds bound {weyl_bound}"
-        )
+    dominant weight with exactly the prescribed stabilizer.  The walk visits
+    one weight per coset of W/W_Gamma and stops once it passes weyl_bound."""
     gamma = frozenset(gamma)
     n = rs.rank
     start = tuple(0 if (i + 1) in gamma else 1 for i in range(n))
@@ -361,14 +354,18 @@ def de_rham_betti(
                 if img not in lengths:
                     lengths[img] = depth
                     nxt.append(img)
+        if len(lengths) > weyl_bound:
+            raise WeylBoundExceeded(
+                f"more than {weyl_bound} cosets of the Weyl group quotient"
+            )
         frontier = nxt
     top = max(lengths.values())
     betti = [0] * (2 * top + 1)
     for ell in lengths.values():
         betti[2 * ell] += 1
     free = [i for i in range(1, n + 1) if i not in gamma]
-    if top >= 1:
-        assert betti[2] == len(free), "degree-2 Betti number must count removed nodes"
+    if top >= 1 and betti[2] != len(free):
+        raise InternalInvariantError("degree-2 Betti number must count removed nodes")
     return betti
 
 
@@ -440,7 +437,8 @@ def admissibility_probe(
             if not outcome.is_success:
                 record[f"attempt{attempt}"] = {"seeds": seeds, "witness": True}
                 continue
-            assert verify_square(outcome.solution, K, basis).ok
+            if not verify_square(outcome.solution, K, basis).ok:
+                raise InternalInvariantError("recursion output failed verification")
             betti = betti_numbers(levi, basis, outcome.solution)
             padded = betti + [0] * (len(oracle) - len(betti))
             match = padded[: len(oracle)] == oracle and all(

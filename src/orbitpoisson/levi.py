@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .roots import Coords, RootSystem, add
+from .roots import Coords, InternalInvariantError, RootSystem, add
 
 Quasiroot = tuple[int, ...]
 
@@ -46,7 +46,8 @@ class LeviDatum:
             sorted((q for q in self.quasiroots if min(q) >= 0), key=lambda q: (sum(q), q))
         )
         # mixed-sign projections cannot occur: roots are sign-definite
-        assert 2 * len(self.positive_quasiroots) == len(self.quasiroots)
+        if 2 * len(self.positive_quasiroots) != len(self.quasiroots):
+            raise InternalInvariantError("quasiroots are not split by sign")
         self.simple_quasiroots = tuple(
             self.project(rs.simple_roots[i]) for i in self._free0
         )

@@ -91,7 +91,7 @@ def rank_of(rows) -> int:
     return ech.rank
 
 
-def kernel_basis(rows, ncols: int, one=Fraction(1)) -> list[dict]:
+def kernel_basis(rows, ncols: int) -> list[dict]:
     """Basis of the right kernel of the matrix with the given sparse rows over
     integer columns 0..ncols-1."""
     ech = Echelon()
@@ -102,93 +102,43 @@ def kernel_basis(rows, ncols: int, one=Fraction(1)) -> list[dict]:
     for free in range(ncols):
         if free in pivots:
             continue
-        vec = {free: one}
+        vec = {free: Fraction(1)}
         for p, prow in pivots.items():
             v = prow.get(free)
             if v:
-                vec[p] = -v * one
+                vec[p] = -v
         out.append(vec)
     return out
 
 
 class SpanSolver:
     """Express vectors in the span of a fixed independent list of sparse
-    vectors (columns may be arbitrary mutually comparable keys)."""
+    vectors (columns may be arbitrary mutually comparable keys).
+
+    Vector ``pos`` enters the echelon form as the row with columns
+    ``(0, key)`` augmented by ``(1, pos) -> 1``; the augmented columns sort
+    after every vector column, so a pivot that lands on one marks a dependent
+    vector, and a reduced vector carries minus its coordinates there."""
 
     def __init__(self, vectors):
         self.n = len(vectors)
-        self._pivots: dict = {}
-        self._aug: dict = {}
-        self._uses: dict = {}
+        self._ech = Echelon()
         for pos, vec in enumerate(vectors):
-            row, comb = self._reduce(dict(vec), {pos: Fraction(1)})
-            if not row:
+            row = _tagged(vec)
+            row[(1, pos)] = Fraction(1)
+            if self._ech.add(row)[0] == 1:
                 raise ValueError(f"basis vector {pos} depends on earlier ones")
-            c = min(row)
-            inv = _reciprocal(row[c])
-            row = {cc: vv * inv for cc, vv in row.items()}
-            comb = {cc: vv * inv for cc, vv in comb.items()}
-            self._eliminate(c, row, comb)
-            self._pivots[c] = row
-            self._aug[c] = comb
-            for cc in row:
-                if cc != c:
-                    self._uses.setdefault(cc, set()).add(c)
-
-    def _reduce(self, row: dict, comb: dict):
-        row = {c: v for c, v in row.items() if v}
-        for c in [c for c in list(row) if c in self._pivots]:
-            f = row.pop(c, None)
-            if not f:
-                continue
-            for cc, vv in self._pivots[c].items():
-                if cc == c:
-                    continue
-                nv = row.get(cc, 0) - f * vv
-                if nv:
-                    row[cc] = nv
-                else:
-                    row.pop(cc, None)
-            for cc, vv in self._aug[c].items():
-                nv = comb.get(cc, 0) - f * vv
-                if nv:
-                    comb[cc] = nv
-                else:
-                    comb.pop(cc, None)
-        return row, comb
-
-    def _eliminate(self, c, unit_row: dict, unit_comb: dict) -> None:
-        for p in list(self._uses.get(c, ())):
-            prow = self._pivots[p]
-            f = prow.get(c)
-            if not f:
-                continue
-            for cc, vv in unit_row.items():
-                nv = prow.get(cc, 0) - f * vv
-                if nv:
-                    prow[cc] = nv
-                    if cc != p:
-                        self._uses.setdefault(cc, set()).add(p)
-                else:
-                    prow.pop(cc, None)
-                    if cc in self._uses:
-                        self._uses[cc].discard(p)
-            pcomb = self._aug[p]
-            for cc, vv in unit_comb.items():
-                nv = pcomb.get(cc, 0) - f * vv
-                if nv:
-                    pcomb[cc] = nv
-                else:
-                    pcomb.pop(cc, None)
-        self._uses.pop(c, None)
 
     def express(self, vector) -> list:
         """Coordinates in the span; raises ValueError outside the span."""
-        row, comb = self._reduce(dict(vector), {})
-        if row:
+        r = self._ech.reduce(_tagged(vector))
+        if any(c[0] == 0 for c in r):
             raise ValueError("vector is not in the span")
-        return [-comb.get(i, Fraction(0)) for i in range(self.n)]
+        return [-r.get((1, i), Fraction(0)) for i in range(self.n)]
 
     def contains(self, vector) -> bool:
-        row, _ = self._reduce(dict(vector), {})
-        return not row
+        return all(c[0] == 1 for c in self._ech.reduce(_tagged(vector)))
+
+
+def _tagged(vector) -> dict:
+    return {(0, c): v for c, v in vector.items()}

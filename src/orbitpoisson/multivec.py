@@ -218,18 +218,29 @@ def project_to_m(
     return out
 
 
-def r_matrix(basis: ChevalleyBasis, levi: LeviDatum | None = None) -> Multivector:
-    """Sum of E_alpha ^ E_{-alpha} over positive roots; with a Levi datum the
-    sum is truncated to positive roots outside the Levi subset."""
+def diagonal_bivector(basis: ChevalleyBasis, coeffs) -> Multivector:
+    """Diagonal tensor sum c(alpha) E_alpha ^ E_{-alpha} with one coefficient
+    per positive root (no class constraint); terms follow the order of
+    ``coeffs``."""
     out = Multivector.zero(2)
-    for alpha in basis.rs.positive_roots:
-        if levi is not None and alpha in levi.omega_gamma:
+    for alpha, c in coeffs.items():
+        cc = as_scalar(c)
+        if not cc:
             continue
         i = basis.index_of_root[alpha]
         j = basis.index_of_root[negate(alpha)]
         # j < i in the global order, so E_alpha ^ E_{-alpha} = -(e_j ^ e_i)
-        out._accumulate((j, i), as_scalar(-1))
+        out._accumulate((j, i), -cc)
     return out
+
+
+def r_matrix(basis: ChevalleyBasis, levi: LeviDatum | None = None) -> Multivector:
+    """Sum of E_alpha ^ E_{-alpha} over positive roots; with a Levi datum the
+    sum is truncated to positive roots outside the Levi subset."""
+    return diagonal_bivector(basis, {
+        alpha: 1 for alpha in basis.rs.positive_roots
+        if levi is None or alpha not in levi.omega_gamma
+    })
 
 
 def phi(basis: ChevalleyBasis) -> Multivector:

@@ -16,6 +16,10 @@ from fractions import Fraction
 
 Coords = tuple[int, ...]
 
+
+class InternalInvariantError(RuntimeError):
+    """An internal consistency check failed; indicates a bug, not bad input."""
+
 #: (minimum rank, maximum rank or None) per simple type.
 RANK_RULES: dict[str, tuple[int, int | None]] = {
     "A": (1, None),
@@ -130,7 +134,10 @@ class RootSystem:
         ]
         for i in range(rank):
             for j in range(rank):
-                assert self.bilinear_form[i][j] == self.bilinear_form[j][i]
+                if self.bilinear_form[i][j] != self.bilinear_form[j][i]:
+                    raise InternalInvariantError(
+                        f"{type_label}{rank}: bilinear form is not symmetric at ({i}, {j})"
+                    )
         self.simple_roots = tuple(
             tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)
         )
@@ -142,12 +149,15 @@ class RootSystem:
         self._positive_set = frozenset(self.positive_roots)
         expected = ROOT_COUNTS[type_label](rank)
         if len(self.roots) != expected:
-            raise AssertionError(
+            raise InternalInvariantError(
                 f"{type_label}{rank}: generated {len(self.roots)} roots, expected {expected}"
             )
         self.highest_root = max(self.positive_roots, key=self._sort_key)
         for r in self.roots:
-            assert all(h >= c for h, c in zip(self.highest_root, r))
+            if any(h < c for h, c in zip(self.highest_root, r)):
+                raise InternalInvariantError(
+                    f"{type_label}{rank}: root {r} exceeds the highest root"
+                )
 
     @staticmethod
     def _sort_key(root: Coords):

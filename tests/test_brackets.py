@@ -20,6 +20,7 @@ from orbitpoisson import (
     verify_compatible,
     verify_square,
 )
+from orbitpoisson.linalg import rank_of
 from orbitpoisson.scalars import GaussianRational, parse_scalar
 
 from conftest import get_basis, get_levi, get_rs
@@ -120,6 +121,12 @@ def test_kks_reciprocals_and_square():
     assert verify_square(v, 0, tb).ok
     assert verify_compatible(v, lam, tb).ok
     assert bivector_matrix_rank(v, tb) == levi.dim_m()
+    # a zero class coefficient drops both roots of class (1, 0) from the rank
+    tb3 = get_basis("A", 3)
+    w = InvariantBivector(get_levi("A", 3, (2,)), {(1, 0): 0, (0, 1): 5, (1, 1): I})
+    terms = realize(w, tb3).terms
+    rows = [{j: c} for (j, i), c in terms.items()] + [{i: -c} for (j, i), c in terms.items()]
+    assert bivector_matrix_rank(w, tb3) == rank_of(rows) == 2 * 3
 
 
 def test_kks_symmetric_orbit_single_coefficient():

@@ -98,6 +98,17 @@ def test_bad_inputs_exit_config(capsys):
     capsys.readouterr()
     assert main(["solve", "A", "2", "--mode", "kks", "--lambda", "1,-1"]) == EXIT_CONFIG
     capsys.readouterr()
+    for argv in (
+        ["solve", "A", "2", "--mode", "recursion", "--seeds", "1,1", "--K", "foo"],
+        ["solve", "A", "2", "--mode", "compatible", "--lambda", "1,1", "--K", "foo"],
+        ["solve", "A", "2", "--mode", "compatible", "--lambda", "1,1", "--K", "1",
+         "--seed-c", "x"],
+        ["classify", "B", "2", "--all-gamma", "--lambda", "1,1"],
+        ["classify", "B", "2", "--lambda", "1,x"],
+        ["--config=", "solve", "A", "2", "--mode", "kks"],
+    ):
+        assert main(argv) == EXIT_CONFIG, argv
+        assert capsys.readouterr().out == ""
 
 
 def test_config_file(tmp_path, capsys):
@@ -109,6 +120,8 @@ def test_config_file(tmp_path, capsys):
     assert code == EXIT_OK
     code2, out2 = run_cli(capsys, "solve", "A", "2", "--mode", "kks", "--lambda", "1,2")
     assert out == out2
+    code3, out3 = run_cli(capsys, f"--config={cfg}")
+    assert code3 == EXIT_OK and out3 == out
 
 
 def test_text_format(capsys):

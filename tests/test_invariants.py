@@ -118,6 +118,9 @@ def test_de_rham_oracle():
     assert de_rham_betti(get_rs("A", 2), (1, 2)) == [1]
     with pytest.raises(WeylBoundExceeded):
         de_rham_betti(get_rs("E", 6), (), weyl_bound=100)
+    # |W(E7)| = 2903040 exceeds the bound, but this orbit has only 56 cosets
+    e7 = de_rham_betti(get_rs("E", 7), (1, 2, 3, 4, 5, 6))
+    assert sum(e7) == 56 and e7[2] == 1
 
 
 def test_de_rham_euler_is_weyl_quotient():
