@@ -45,6 +45,6 @@ levi = build_levi(rs, {1})
 r_trunc = r_matrix(tb, levi)
 print("\norbit with node 1 in the stabilizer: truncated r has",
       len(r_trunc), "terms (full r has", len(r), ")")
-lhs = project_to_m(schouten(tb, r_trunc, r_trunc), tb, levi)
+lhs = schouten(tb, r_trunc, r_trunc, levi)
 rhs = project_to_m(trivector, tb, levi)
 print("projected square of truncated r equals projected trivector:", lhs == rhs)

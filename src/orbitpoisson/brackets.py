@@ -313,10 +313,7 @@ def verify_square(
         if lhs != rhs:
             failures.append(((qa, qb), lhs, rhs))
     v = realize(b, basis, check=False)
-    bracket2 = schouten(basis, v, v)
-    residual = project_to_m(
-        bracket2 - phi(basis).scale(K2), basis, levi
-    )
+    residual = schouten(basis, v, v, levi) - project_to_m(phi(basis), basis, levi).scale(K2)
     mv_ok = residual.is_zero()
     return SquareReport(
         K=K,
@@ -360,7 +357,7 @@ def verify_compatible(
             failures.append(((qa, qb), lhs, rhs))
     v = realize(kks(levi, lam), basis, check=False)
     fmv = realize(f, basis, check=False)
-    residual = project_to_m(schouten(basis, fmv, v), basis, levi)
+    residual = schouten(basis, fmv, v, levi)
     return CompatReport(
         pair_ok=not failures,
         pair_failures=failures,
@@ -678,13 +675,13 @@ def quasiclassical_poisson_check(
     trivector = phi(basis)
     phi_m = project_to_m(trivector, basis, levi)
 
-    square = project_to_m(schouten(basis, fmv, fmv), basis, levi) + phi_m
+    square = schouten(basis, fmv, fmv, levi) + phi_m
     square_ok = square.is_zero()
 
     r_trunc = r_matrix(basis, levi)
     r_full = r_matrix(basis)
-    trunc_sq = project_to_m(schouten(basis, r_trunc, r_trunc), basis, levi)
-    full_sq = project_to_m(schouten(basis, r_full, r_full), basis, levi)
+    trunc_sq = schouten(basis, r_trunc, r_trunc, levi)
+    full_sq = schouten(basis, r_full, r_full, levi)
     truncation_ok = trunc_sq == full_sq == phi_m
 
     phi_invariant_ok = True
@@ -698,11 +695,11 @@ def quasiclassical_poisson_check(
             if not ad_action(basis, g, trivector).is_zero():
                 phi_invariant_ok = False
 
-    cross = project_to_m(schouten(basis, fmv, r_trunc), basis, levi)
+    cross = schouten(basis, fmv, r_trunc, levi)
     p_minus = fmv - r_trunc
     p_plus = fmv + r_trunc
-    minus_sq = project_to_m(schouten(basis, p_minus, p_minus), basis, levi)
-    plus_sq = project_to_m(schouten(basis, p_plus, p_plus), basis, levi)
+    minus_sq = schouten(basis, p_minus, p_minus, levi)
+    plus_sq = schouten(basis, p_plus, p_plus, levi)
 
     return QuasiclassicalReport(
         square_ok=square_ok,

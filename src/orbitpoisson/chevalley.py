@@ -102,7 +102,7 @@ class ChevalleyBasis:
                     gram[a][b] += pa * row[b]
         return gram
 
-    def _solve_t_basis(self) -> list[list[Fraction]]:
+    def _solve_t_basis(self) -> list[dict[int, Fraction]]:
         # coordinates of t_i (Killing dual of alpha_i) in the coroot basis
         # the Gram matrix is symmetric, so expressing row i of the Cartan
         # matrix in its rows solves K x = cartan[i]
@@ -117,7 +117,7 @@ class ChevalleyBasis:
         for mu in rs.roots:
             pairing = [rs.coroot_pairing(mu, a) for a in range(n)]
             out[mu] = tuple(
-                sum((self._t_mat[i][a] * pairing[a] for a in range(n)), Fraction(0))
+                sum((c * pairing[a] for a, c in self._t_mat[i].items()), Fraction(0))
                 for i in range(n)
             )
         return out

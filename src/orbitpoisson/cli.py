@@ -231,7 +231,10 @@ def _solve_outcome(args, basis, levi) -> tuple[SolverOutcome, dict]:
             raise ConfigError("recursion mode requires --seeds")
         seeds = _parse_scalars(args.seeds, "seeds")
         K = _parse_scalar(args.K or "0", "K")
-        outcome = solve_recursion(levi, seeds, K)
+        try:
+            outcome = solve_recursion(levi, seeds, K)
+        except ValueError as exc:  # wrong number of seeds
+            raise ConfigError(str(exc)) from exc
         if outcome.is_success:
             sq = verify_square(outcome.solution, K, basis)
             outcome.verification = {"square": sq}
@@ -246,7 +249,10 @@ def _solve_outcome(args, basis, levi) -> tuple[SolverOutcome, dict]:
             raise ConfigError("compatible mode requires --K")
         K = _parse_scalar(args.K, "K")
         seed = _parse_scalar(args.seed_c or "1", "seed-c")
-        outcome = solve_compatible(levi, lam, K, args.sign, seed, basis)
+        try:
+            outcome = solve_compatible(levi, lam, K, args.sign, seed, basis)
+        except ValueError as exc:  # K = 0
+            raise ConfigError(str(exc)) from exc
         meta.update(
             {
                 "lambda": [format_scalar(v) for v in lam.values],

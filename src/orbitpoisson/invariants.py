@@ -15,13 +15,15 @@ kernel computation runs block by block.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from math import prod
 
 from .brackets import InternalInvariantError, InvariantBivector, realize
 from .chevalley import ChevalleyBasis
 from .levi import LeviDatum, Quasiroot
 from .linalg import SpanSolver, kernel_basis, rank_of
-from .multivec import Multivector, _insert_front, ad_action, project_to_m, schouten
+from .multivec import Multivector, _insert_front, ad_action, schouten
 from .roots import Coords, RootSystem, add, negate
 from .scalars import GaussianRational, as_scalar
 
@@ -152,30 +154,10 @@ def theta_apply(basis: ChevalleyBasis, mv: Multivector) -> Multivector:
             j, s = basis.theta_index(i)
             images.append(j)
             scale = scale * s
-        perm = sorted(range(len(images)), key=lambda p: images[p])
-        sorted_imgs = tuple(images[p] for p in perm)
-        if len(set(sorted_imgs)) != len(sorted_imgs):
-            continue
-        sign = _permutation_sign(perm)
-        out._accumulate(sorted_imgs, scale * sign)
+        # theta permutes the basis, so the images are distinct
+        inversions = sum(a > b for p, a in enumerate(images) for b in images[p + 1 :])
+        out._accumulate(tuple(sorted(images)), -scale if inversions & 1 else scale)
     return out
-
-
-def _permutation_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        p = start
-        while not seen[p]:
-            seen[p] = True
-            p = perm[p]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def theta_split(
@@ -186,35 +168,21 @@ def theta_split(
         return [], []
     solver = SpanSolver([v.terms for v in vectors])
     n = len(vectors)
-    coords = []
-    for v in vectors:
-        coords.append(solver.express(theta_apply(basis, v).terms))
-    plus_rows = []
-    minus_rows = []
-    for i in range(n):
-        prow = {}
-        mrow = {}
-        for j in range(n):
-            tval = coords[j][i]  # matrix entry T[i][j]
-            diag = Fraction(1) if i == j else Fraction(0)
-            if tval - diag:
-                prow[j] = tval - diag
-            if tval + diag:
-                mrow[j] = tval + diag
-        if prow:
-            plus_rows.append(prow)
-        if mrow:
-            minus_rows.append(mrow)
+    t_rows: list[dict] = [{} for _ in range(n)]  # the matrix T of theta
+    for j, v in enumerate(vectors):
+        for i, c in solver.express(theta_apply(basis, v).terms).items():
+            t_rows[i][j] = c
+
+    def shifted(s) -> list[dict]:  # rows of T + s*I
+        return [{**row, i: row.get(i, 0) + s} for i, row in enumerate(t_rows)]
+
     degree = vectors[0].degree
 
     def combine(kern) -> Multivector:
-        out = Multivector.zero(degree)
-        for j, c in kern.items():
-            out = out + vectors[j].scale(c)
-        return out
+        return sum((vectors[j].scale(c) for j, c in kern.items()), Multivector.zero(degree))
 
-    plus = [combine(kern) for kern in kernel_basis(plus_rows, n)]
-    minus = [combine(kern) for kern in kernel_basis(minus_rows, n)]
+    plus = [combine(kern) for kern in kernel_basis(shifted(-Fraction(1)), n)]
+    minus = [combine(kern) for kern in kernel_basis(shifted(Fraction(1)), n)]
     if len(plus) + len(minus) != n:
         raise InternalInvariantError("theta eigensplit dimensions do not add up")
     return plus, minus
@@ -233,82 +201,58 @@ class InvariantComplex:
         self.bivector = v
         self._vmv = realize(v, basis, check=False)
         self._bases: dict[int, list[Multivector]] = {}
-        self._solvers: dict[int, SpanSolver | None] = {}
-        self._deltas: dict[int, list[list[GaussianRational]]] = {}
+        self._solvers: dict[int, SpanSolver] = {}
+        self._deltas: dict[int, list[dict[int, GaussianRational]]] = {}
 
     def basis_at(self, k: int) -> list[Multivector]:
         if k not in self._bases:
             self._bases[k] = invariant_basis(self.levi, self.basis, k)
         return self._bases[k]
 
-    def _solver_at(self, k: int) -> SpanSolver | None:
+    def _solver_at(self, k: int) -> SpanSolver:
         if k not in self._solvers:
-            vecs = self.basis_at(k)
-            self._solvers[k] = SpanSolver([v.terms for v in vecs]) if vecs else None
+            self._solvers[k] = SpanSolver([v.terms for v in self.basis_at(k)])
         return self._solvers[k]
 
     def differential(self, u: Multivector) -> Multivector:
-        return project_to_m(
-            schouten(self.basis, self._vmv, u), self.basis, self.levi
-        )
+        return schouten(self.basis, self._vmv, u, self.levi)
 
-    def delta_matrix(self, k: int) -> list[list[GaussianRational]]:
-        """Columns are images of the degree-k basis in degree-(k+1)
-        coordinates."""
-        if k in self._deltas:
-            return self._deltas[k]
-        domain = self.basis_at(k)
-        cols = []
-        solver = self._solver_at(k + 1)
-        for u in domain:
-            img = self.differential(u)
-            if img.is_zero():
-                cols.append([as_scalar(0)] * len(self.basis_at(k + 1)))
-                continue
-            if solver is None:
-                raise InternalInvariantError(
-                    "differential image fell outside the invariant space"
-                )
-            cols.append([as_scalar(c) for c in solver.express(img.terms)])
-        self._deltas[k] = cols
-        return cols
+    def delta_matrix(self, k: int) -> list[dict[int, GaussianRational]]:
+        """Sparse columns {position: coefficient}: the images of the
+        degree-k basis in degree-(k+1) coordinates."""
+        if k not in self._deltas:
+            solver = self._solver_at(k + 1)
+            cols = []
+            for u in self.basis_at(k):
+                img = self.differential(u).terms
+                try:
+                    cols.append(solver.express(img) if img else {})
+                except ValueError as exc:
+                    raise InternalInvariantError(
+                        "differential image fell outside the invariant space"
+                    ) from exc
+            self._deltas[k] = cols
+        return self._deltas[k]
 
     def betti_numbers(self) -> list[int]:
         dim_m = self.levi.dim_m()
-        dims = [len(self.basis_at(k)) for k in range(dim_m + 1)]
-        ranks = []
-        prev_cols = None
-        for k in range(dim_m + 1):
-            cols = self.delta_matrix(k)
-            rows = []
-            for j, col in enumerate(cols):
-                for i, c in enumerate(col):
-                    if c:
-                        while len(rows) <= i:
-                            rows.append({})
-                        rows[i][j] = c
-            ranks.append(rank_of(rows))
-            if prev_cols is not None:
-                self._assert_square_zero(k, prev_cols, cols)
-            prev_cols = cols
-        betti = []
-        for k in range(dim_m + 1):
-            incoming = ranks[k - 1] if k else 0
-            betti.append(dims[k] - ranks[k] - incoming)
-        return betti
+        deltas = [self.delta_matrix(k) for k in range(dim_m + 1)]
+        for k in range(1, dim_m + 1):
+            self._assert_square_zero(k, deltas[k - 1], deltas[k])
+        ranks = [rank_of(cols) for cols in deltas]  # ranks of the transposes
+        return [
+            len(self.basis_at(k)) - ranks[k] - (ranks[k - 1] if k else 0)
+            for k in range(dim_m + 1)
+        ]
 
     def _assert_square_zero(self, k: int, prev_cols, cols) -> None:
         # matrix product delta_k . delta_{k-1} must vanish entrywise
-        n_next = len(self.basis_at(k + 1))
         for col in prev_cols:
-            acc = [as_scalar(0)] * n_next
-            for j, cj in enumerate(col):
-                if cj:
-                    target = cols[j]
-                    for i in range(n_next):
-                        if target[i]:
-                            acc[i] = acc[i] + cj * target[i]
-            if any(acc):
+            acc: dict[int, GaussianRational] = {}
+            for j, cj in col.items():
+                for i, c in cols[j].items():
+                    acc[i] = acc.get(i, 0) + cj * c
+            if any(acc.values()):
                 raise InternalInvariantError(
                     f"differential does not square to zero at degree {k - 1}"
                 )
@@ -326,14 +270,33 @@ class WeylBoundExceeded(ValueError):
     pass
 
 
+def weyl_coset_count(rs: RootSystem, gamma) -> int:
+    """|W / W_Gamma| from the heights of positive roots (Kostant): in a root
+    system the exponent m occurs #height(m) - #height(m+1) times, and |W| is
+    the product of m + 1 over the exponents."""
+    def order(roots) -> int:
+        count = Counter(sum(r) for r in roots)
+        return prod((m + 1) ** (c - count[m + 1]) for m, c in count.items())
+
+    levi = [r for r in rs.positive_roots
+            if all(c == 0 or i + 1 in gamma for i, c in enumerate(r))]
+    return order(rs.positive_roots) // order(levi)
+
+
 def de_rham_betti(
     rs: RootSystem, gamma, weyl_bound: int = 60000
 ) -> list[int]:
     """Even-degree Betti numbers of the orbit from the length generating
     function of minimal coset representatives, computed by an orbit walk on a
     dominant weight with exactly the prescribed stabilizer.  The walk visits
-    one weight per coset of W/W_Gamma and stops once it passes weyl_bound."""
+    one weight per coset of W/W_Gamma; more than weyl_bound cosets are
+    refused before it starts."""
     gamma = frozenset(gamma)
+    cosets = weyl_coset_count(rs, gamma)
+    if cosets > weyl_bound:
+        raise WeylBoundExceeded(
+            f"{cosets} cosets of the Weyl group quotient exceed {weyl_bound}"
+        )
     n = rs.rank
     start = tuple(0 if (i + 1) in gamma else 1 for i in range(n))
     cartan = rs.cartan
@@ -354,11 +317,11 @@ def de_rham_betti(
                 if img not in lengths:
                     lengths[img] = depth
                     nxt.append(img)
-        if len(lengths) > weyl_bound:
-            raise WeylBoundExceeded(
-                f"more than {weyl_bound} cosets of the Weyl group quotient"
-            )
         frontier = nxt
+    if len(lengths) != cosets:
+        raise InternalInvariantError(
+            f"orbit walk visited {len(lengths)} cosets, expected {cosets}"
+        )
     top = max(lengths.values())
     betti = [0] * (2 * top + 1)
     for ell in lengths.values():

@@ -121,7 +121,6 @@ class SpanSolver:
     vector, and a reduced vector carries minus its coordinates there."""
 
     def __init__(self, vectors):
-        self.n = len(vectors)
         self._ech = Echelon()
         for pos, vec in enumerate(vectors):
             row = _tagged(vec)
@@ -129,12 +128,13 @@ class SpanSolver:
             if self._ech.add(row)[0] == 1:
                 raise ValueError(f"basis vector {pos} depends on earlier ones")
 
-    def express(self, vector) -> list:
-        """Coordinates in the span; raises ValueError outside the span."""
+    def express(self, vector) -> dict:
+        """Sparse coordinates {position: nonzero coefficient} in the span, by
+        increasing position; raises ValueError outside the span."""
         r = self._ech.reduce(_tagged(vector))
         if any(c[0] == 0 for c in r):
             raise ValueError("vector is not in the span")
-        return [-r.get((1, i), Fraction(0)) for i in range(self.n)]
+        return {c[1]: -v for c, v in sorted(r.items())}
 
     def contains(self, vector) -> bool:
         return all(c[0] == 1 for c in self._ech.reduce(_tagged(vector)))

@@ -151,32 +151,51 @@ def wedge(u: Multivector, v: Multivector) -> Multivector:
     return out
 
 
-def schouten(basis: ChevalleyBasis, u: Multivector, v: Multivector) -> Multivector:
-    """Schouten bracket of homogeneous multivectors; degree adds minus one."""
+def schouten(basis: ChevalleyBasis, u: Multivector, v: Multivector,
+             levi: LeviDatum | None = None) -> Multivector:
+    """Schouten bracket of homogeneous multivectors; degree adds minus one.
+
+    With a Levi datum only the terms on the orbit tangent space are formed:
+    the result is ``project_to_m`` of the full bracket, in the same term
+    order, without building the stabilizer terms."""
     if u.degree == 0 or v.degree == 0:
         return Multivector.zero(max(u.degree + v.degree - 1, 0))
+    banned = frozenset() if levi is None else gamma_indices(basis, levi)
     out = Multivector.zero(u.degree + v.degree - 1)
-    for ka, ca in u.terms.items():
-        for kb, cb in v.terms.items():
+    u_terms = [(ca, s) for ka, ca in u.terms.items() if (s := _splits(ka, banned))]
+    v_terms = [(cb, s) for kb, cb in v.terms.items() if (s := _splits(kb, banned))]
+    for ca, splits_a in u_terms:
+        for cb, splits_b in v_terms:
             cab = ca * cb
-            for i, xi in enumerate(ka):
-                rest_a = ka[:i] + ka[i + 1 :]
-                for j, yj in enumerate(kb):
+            for i, xi, rest_a in splits_a:
+                for j, yj, rest_b in splits_b:
                     br = basis.bracket_index(xi, yj)
                     if not br:
                         continue
-                    rest_b = kb[:j] + kb[j + 1 :]
                     merged = _merge_sorted(rest_a, rest_b)
                     if merged is None:
                         continue
                     msign, rest = merged
                     base = cab * (msign if (i + j) % 2 == 0 else -msign)
                     for z, f in br:
+                        if z in banned:
+                            continue
                         ins = _insert_front(z, rest)
                         if ins is None:
                             continue
                         isign, key = ins
                         out._accumulate(key, base * (f * isign))
+    return out
+
+
+def _splits(key: Key, banned: frozenset[int]) -> list[tuple[int, int, Key]]:
+    """(position, factor, rest of the key) for every factor whose removal
+    leaves no banned index."""
+    out = []
+    for p, x in enumerate(key):
+        rest = key[:p] + key[p + 1 :]
+        if banned.isdisjoint(rest):
+            out.append((p, x, rest))
     return out
 
 
@@ -212,9 +231,7 @@ def project_to_m(
     """Drop every term containing a stabilizer-subalgebra factor."""
     banned = gamma_indices(basis, levi)
     out = Multivector.zero(u.degree)
-    for key, coeff in u.terms.items():
-        if banned.isdisjoint(key):
-            out.terms[key] = coeff
+    out.terms = {key: c for key, c in u.terms.items() if banned.isdisjoint(key)}
     return out
 
 

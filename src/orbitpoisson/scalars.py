@@ -204,8 +204,10 @@ def parse_scalar(text: str) -> GaussianRational:
             value = _F1
             imaginary = True
         else:
-            den = m.group("den")
-            value = Fraction(int(m.group("num")), int(den) if den else 1)
+            den = int(m.group("den") or 1)
+            if not den:
+                raise ValueError(f"zero denominator in {text!r}")
+            value = Fraction(int(m.group("num")), den)
             imaginary = bool(m.group("ti"))
         if imaginary:
             if seen_im:

@@ -106,6 +106,10 @@ def test_bad_inputs_exit_config(capsys):
         ["classify", "B", "2", "--all-gamma", "--lambda", "1,1"],
         ["classify", "B", "2", "--lambda", "1,x"],
         ["--config=", "solve", "A", "2", "--mode", "kks"],
+        ["solve", "A", "2", "--mode", "kks", "--lambda", "1/0,1"],
+        ["solve", "A", "3", "--mode", "compatible", "--lambda", "1,2,3", "--K", "0"],
+        ["solve", "A", "3", "--mode", "recursion", "--seeds", "1,2"],
+        ["cohomology", "A", "3", "--mode", "recursion", "--seeds", "1,2"],
     ):
         assert main(argv) == EXIT_CONFIG, argv
         assert capsys.readouterr().out == ""

@@ -17,6 +17,7 @@ from orbitpoisson import (
     theta_split,
     weight_zero_monomials,
 )
+from orbitpoisson.invariants import weyl_coset_count
 from orbitpoisson.linalg import SpanSolver
 
 from conftest import get_basis, get_levi, get_rs
@@ -121,6 +122,16 @@ def test_de_rham_oracle():
     # |W(E7)| = 2903040 exceeds the bound, but this orbit has only 56 cosets
     e7 = de_rham_betti(get_rs("E", 7), (1, 2, 3, 4, 5, 6))
     assert sum(e7) == 56 and e7[2] == 1
+
+
+def test_weyl_coset_count_refuses_before_the_walk():
+    orbits = [("A", 2, ()), ("A", 3, (2,)), ("A", 2, (1, 2)), ("E", 7, (1, 2, 3, 4, 5, 6))]
+    for t, r, gamma in orbits:
+        rs = get_rs(t, r)
+        assert weyl_coset_count(rs, gamma) == sum(de_rham_betti(rs, gamma))
+    assert weyl_coset_count(get_rs("E", 8), ()) == 696729600  # |W(E8)|
+    with pytest.raises(WeylBoundExceeded, match="696729600 cosets"):
+        de_rham_betti(get_rs("E", 8), ())
 
 
 def test_de_rham_euler_is_weyl_quotient():

@@ -19,8 +19,8 @@ def test_span_solver_tuple_columns():
     a, b, c = (0, 1), (0, 2), (1, 2)
     solver = SpanSolver([{a: 1, b: 1}, {b: 1, c: 2}])
     target = {a: 3, b: 1, c: -4}  # 3 v0 - 2 v1
-    assert solver.express(target) == [3, -2]
-    assert solver.express({}) == [0, 0]
+    assert solver.express(target) == {0: 3, 1: -2}
+    assert solver.express({}) == {}
     assert solver.contains(target)
     assert not solver.contains({c: 1})
 
@@ -43,6 +43,6 @@ def test_gaussian_entries():
 
     solver = SpanSolver([{0: I, 1: 1}, {1: 1 + I}])
     target = {0: GaussianRational(-1, 2), 1: GaussianRational(1, 2)}  # (2+i) v0 + i v1
-    assert solver.express(target) == [2 + I, I]
+    assert solver.express(target) == {0: 2 + I, 1: I}
     assert solver.contains(target)
     assert not solver.contains({0: Fraction(1, 2), 2: I})

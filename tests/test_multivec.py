@@ -5,6 +5,7 @@ from orbitpoisson import (
     ad_action,
     diagonal_bivector,
     diagonal_coefficient_formula,
+    gamma_indices,
     phi,
     project_to_m,
     r_matrix,
@@ -190,6 +191,33 @@ def test_truncated_r_square_equals_projected_phi():
         lhs = project_to_m(schouten(tb, rt, rt), tb, levi)
         rhs = project_to_m(phi(tb), tb, levi)
         assert lhs == rhs
+
+
+def test_projected_schouten_is_projection_of_full():
+    rng = random.Random(11)
+    for t, r, gamma in [("A", 3, (1,)), ("B", 3, (2,)), ("D", 4, (1, 3, 4)), ("G", 2, ())]:
+        tb = get_basis(t, r)
+        levi = get_levi(t, r, gamma)
+        tangent = sorted(set(range(tb.dim)) - gamma_indices(tb, levi))
+
+        def tangent_multivector(degree):
+            out = Multivector.zero(degree)
+            for _ in range(4):
+                key = tuple(sorted(rng.sample(tangent, degree)))
+                out._accumulate(key, as_scalar(rng.randint(-5, 5)))
+            return out
+
+        operands = [r_matrix(tb), phi(tb), r_matrix(tb, levi)]
+        operands += [tangent_multivector(d) for d in (2, 2, 3, 3)]
+        operands += [random_multivector(tb, d, rng) for d in (1, 2, 3)]
+        for u in operands:
+            for v in operands:
+                if u.degree + v.degree > 5:
+                    continue
+                projected = schouten(tb, u, v, levi)
+                reference = project_to_m(schouten(tb, u, v), tb, levi)
+                assert projected == reference
+                assert list(projected.terms) == list(reference.terms)
 
 
 def test_phi_invariance():

@@ -54,6 +54,12 @@ def test_parse_rejects(bad):
         parse_scalar(bad)
 
 
+@pytest.mark.parametrize("bad", ["1/0", "3/0*i", "1+0/0i"])
+def test_parse_zero_denominator(bad):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_scalar(bad)
+
+
 def test_format_round_trip_random():
     rng = random.Random(7)
     for _ in range(300):

@@ -22,3 +22,10 @@ def test_one_internal_invariant_error():
 
     assert orbitpoisson.InternalInvariantError is brackets.InternalInvariantError
     assert brackets.InternalInvariantError is roots.InternalInvariantError
+
+
+def test_no_projection_of_a_full_bracket():
+    # the projected kernel schouten(basis, u, v, levi) replaces this wrapper
+    paths = sorted(SRC.glob("*.py")) + sorted((SRC.parents[1] / "demos").glob("*.py"))
+    found = [p.name for p in paths if "project_to_m(schouten(" in p.read_text(encoding="utf-8")]
+    assert found == []
