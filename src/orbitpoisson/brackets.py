@@ -22,7 +22,6 @@ from .levi import (
     admissible_pairs,
     admissible_triples,
     build_levi,
-    quasiroot_system_type,
 )
 from .multivec import (
     Multivector,
@@ -388,7 +387,9 @@ def find_inconsistency_witness(levi: LeviDatum) -> Witness | None:
 
     Three patterns suffice for all simple types: a quasiroot whose double is a
     quasiroot; a repeated triple (x, y, x); and a four-step chain whose ends
-    differ by a quasiroot or coincide."""
+    differ by a quasiroot or coincide.  tests/test_atlas.py checks this on
+    every orbit of every simple type of rank at most 8.  The search returns
+    the first hit, walking x, y, z and w in a fixed order."""
     quasi = levi.quasiroots
     positive = levi.positive_quasiroots
 
@@ -403,40 +404,29 @@ def find_inconsistency_witness(levi: LeviDatum) -> Witness | None:
             if add(x, y) in quasi and add(add(x, x), y) in quasi:
                 return Witness(add(x, y), "repeated-triple", (x, y, x))
 
-    pairs = {(a, b) for a in positive for b in positive if add(a, b) in quasi}
-    triples = []
+    # A sum of two positive quasiroots is a quasiroot iff they form an
+    # admissible pair; after[a] lists the partners b of a in positive order.
+    pairs = admissible_pairs(levi)
+    after: dict[Quasiroot, list[Quasiroot]] = {}
     for a, b in pairs:
-        for c in positive:
-            if (b, c) in pairs and add(add(a, b), c) in quasi:
-                triples.append((a, b, c))
-    by_prefix: dict[tuple[Quasiroot, Quasiroot], list[Quasiroot]] = {}
-    for a, b, c in triples:
-        by_prefix.setdefault((a, b), []).append(c)
-    for x, y, z in triples:
-        for w in by_prefix.get((y, z), ()):
-            delta = sub(w, x)
-            if not any(delta) or delta in quasi:
-                return Witness(
-                    add(add(x, y), z),
-                    "chained-quadruple",
-                    (x, y, z, w),
-                    alternate=add(add(y, z), w),
-                )
+        after.setdefault(a, []).append(b)
+    pairs = set(pairs)
+    # x, y run in set order and z, w in positive order: the first hit is the
+    # witness the CLI reports
+    for x, y in pairs:
+        xy = add(x, y)
+        for z in after.get(y, ()):
+            if (xy, z) not in pairs:
+                continue
+            yz = add(y, z)
+            for w in after.get(z, ()):
+                if (yz, w) not in pairs:
+                    continue
+                delta = sub(w, x)
+                if not any(delta) or delta in quasi:
+                    return Witness(add(xy, z), "chained-quadruple", (x, y, z, w),
+                                   alternate=add(yz, w))
     return None
-
-
-def _interval_table(chain):
-    """Map each consecutive-sum quasiroot of an A_k chain to its index
-    interval (i, j)."""
-    table = {}
-    k = len(chain)
-    for i in range(k):
-        total = chain[i]
-        table[total] = (i, i)
-        for j in range(i + 1, k):
-            total = add(total, chain[j])
-            table[total] = (i, j)
-    return table
 
 
 def solve_compatible(
@@ -462,7 +452,7 @@ def solve_compatible(
     seed = as_scalar(seed)
     meta = {"K": K, "sign": eps, "seed": seed, "lambda": lam.values}
 
-    verdict = quasiroot_system_type(levi)
+    verdict = levi.type_verdict
     if not verdict.is_type_a:
         witness = find_inconsistency_witness(levi)
         if witness is None:
@@ -477,14 +467,13 @@ def solve_compatible(
         )
 
     chain = verdict.chain
-    intervals = _interval_table(chain)
     u: dict[Quasiroot, GaussianRational] = {}
     if chain:
         u[chain[0]] = seed * lam(chain[0])
         for i in range(1, len(chain)):
             step = lam(add(chain[i - 1], chain[i]))
             u[chain[i]] = u[chain[i - 1]] + eps * K * step
-        for q, (i, j) in intervals.items():
+        for q, (i, j) in verdict.intervals.items():
             if i == j:
                 continue
             tail = sub(q, chain[i])
@@ -495,8 +484,8 @@ def solve_compatible(
     verification = {
         "square": verify_square(solution, K, basis),
         "compatible": verify_compatible(solution, lam, basis),
-        "sign_consistent": _check_sign_rigidity(levi, intervals, u, lam, K, eps),
-        "triple_chain_ok": _check_triple_chains(levi, intervals, u, lam, K, eps),
+        "sign_consistent": _check_sign_rigidity(levi, verdict.intervals, u, lam, K, eps),
+        "triple_chain_ok": _check_triple_chains(levi, verdict.intervals, u, lam, K, eps),
     }
     if not (
         verification["square"].ok
@@ -544,6 +533,7 @@ def _check_triple_chains(levi, intervals, u, lam, K, eps) -> bool:
 
 @dataclass
 class GoodOrbitVerdict:
+    levi: LeviDatum
     good: bool
     closed_form: bool
     type_a: bool
@@ -551,7 +541,6 @@ class GoodOrbitVerdict:
     chain: tuple | None
     witness: Witness | None
     highest_root_coefficients: dict[int, int]
-    removed: tuple[int, ...]
     lambda_values: tuple
     rng_seed: int
 
@@ -578,7 +567,7 @@ def classify_good(
     else:
         closed = len(free) <= 2 and all(hr[i] == 1 for i in free)
 
-    verdict = quasiroot_system_type(levi)
+    verdict = levi.type_verdict
 
     if lam is None:
         rng = random.Random(rng_seed)
@@ -596,6 +585,7 @@ def classify_good(
             f"type_a={verdict.is_type_a}, solver={outcome.is_success}"
         )
     return GoodOrbitVerdict(
+        levi=levi,
         good=closed,
         closed_form=closed,
         type_a=verdict.is_type_a,
@@ -603,7 +593,6 @@ def classify_good(
         chain=verdict.chain,
         witness=outcome.witness,
         highest_root_coefficients=hr,
-        removed=free,
         lambda_values=lam_values,
         rng_seed=rng_seed,
     )

@@ -165,7 +165,6 @@ def _require_lambda(args, levi: LeviDatum) -> LinearForm:
 
 
 def _classify_one(rs, basis, gamma, seed, lam=None) -> dict:
-    levi = build_levi(rs, gamma)
     verdict = classify_good(rs, gamma, basis, rng_seed=seed, lam=lam)
     entry = {
         "gamma": sorted(gamma),
@@ -179,14 +178,14 @@ def _classify_one(rs, basis, gamma, seed, lam=None) -> dict:
             "highest_root_coefficients": {
                 str(i): c for i, c in sorted(verdict.highest_root_coefficients.items())
             },
-            "removed_nodes": list(verdict.removed),
+            "removed_nodes": list(verdict.levi.free_positions),
             "chain": [list(q) for q in verdict.chain] if verdict.chain else None,
             "lambda": [str(v) for v in verdict.lambda_values],
             "rng_seed": verdict.rng_seed,
         },
     }
     if verdict.witness is not None:
-        entry["witness"] = _witness_dict(levi, verdict.witness)
+        entry["witness"] = _witness_dict(verdict.levi, verdict.witness)
     return entry
 
 

@@ -9,8 +9,8 @@ coordinate deletion, so everything here is integer-exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import permutations
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .roots import Coords, InternalInvariantError, RootSystem, add
 
@@ -51,7 +51,11 @@ class LeviDatum:
         self.simple_quasiroots = tuple(
             self.project(rs.simple_roots[i]) for i in self._free0
         )
-        self.heights = {q: sum(q) for q in self.quasiroots}
+
+    @cached_property
+    def type_verdict(self) -> QuasirootTypeVerdict:
+        """The A_k verdict of quasiroot_system_type, computed once."""
+        return quasiroot_system_type(self)
 
     def project(self, root: Coords) -> Quasiroot:
         """Coordinate restriction to the positions outside Gamma."""
@@ -172,6 +176,8 @@ class QuasirootTypeVerdict:
     is_type_a: bool
     k: int
     chain: tuple[Quasiroot, ...] | None
+    # consecutive sum of chain[i..j] -> (i, j); empty unless type A
+    intervals: dict[Quasiroot, tuple[int, int]] = field(default_factory=dict)
 
     def __bool__(self):
         return self.is_type_a
@@ -181,37 +187,42 @@ def quasiroot_system_type(levi: LeviDatum) -> QuasirootTypeVerdict:
     """Decide whether the positive quasiroots are exactly the consecutive sums
     of some ordering of the simple quasiroots (the A_k pattern).
 
-    When two orderings fit (a path read in either direction), the one starting
-    at the lowest Bourbaki index wins.
+    Two simple quasiroots are adjacent when their sum is a quasiroot.  The
+    system is A_k iff there are k(k+1)/2 positive quasiroots, every degree is
+    at most 2, the adjacency graph is one path, and the consecutive sums along
+    that path are exactly the positive quasiroots.  Such a path fits read in
+    either direction; the chain starts at the end with the lower Bourbaki
+    index.
     """
     simple = levi.simple_quasiroots
     k = len(simple)
     positive = set(levi.positive_quasiroots)
+    no = QuasirootTypeVerdict(False, k, None)
     if len(positive) != k * (k + 1) // 2:
-        return QuasirootTypeVerdict(False, k, None)
-    if k == 0:
-        return QuasirootTypeVerdict(True, 0, ())
-    if k == 1:
-        ok = positive == {simple[0]}
-        return QuasirootTypeVerdict(ok, 1, simple if ok else None)
+        return no
+    adjacent = [
+        [j for j in range(k) if j != i and add(simple[i], simple[j]) in levi.quasiroots]
+        for i in range(k)
+    ]
+    if any(len(a) > 2 for a in adjacent):
+        return no
+    order = [i for i in range(k) if len(adjacent[i]) < 2][:1]
+    while order and len(order) < k:
+        step = [j for j in adjacent[order[-1]] if j not in order[-2:-1]]
+        if not step:
+            break
+        order.append(step[0])
+    if len(order) != k:
+        return no
 
-    valid = []
-    for perm in permutations(range(k)):
-        if perm[0] > perm[-1]:
-            continue  # each path would be found twice; keep low-index start
-        sums = set()
-        good = True
-        for i in range(k):
-            total = simple[perm[i]]
-            sums.add(total)
-            for j in range(i + 1, k):
-                total = add(total, simple[perm[j]])
-                sums.add(total)
-            if not good:
-                break
-        if sums == positive:
-            valid.append(perm)
-    if not valid:
-        return QuasirootTypeVerdict(False, k, None)
-    perm = min(valid)
-    return QuasirootTypeVerdict(True, k, tuple(simple[i] for i in perm))
+    chain = tuple(simple[i] for i in order)
+    intervals = {}
+    for i in range(k):
+        total = chain[i]
+        intervals[total] = (i, i)
+        for j in range(i + 1, k):
+            total = add(total, chain[j])
+            intervals[total] = (i, j)
+    if intervals.keys() != positive:
+        return no
+    return QuasirootTypeVerdict(True, k, chain, intervals)

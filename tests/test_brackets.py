@@ -202,6 +202,28 @@ def test_witness_patterns():
     assert find_inconsistency_witness(get_levi("B", 2, (1,))).pattern == "doubled-pair"
     assert find_inconsistency_witness(get_levi("D", 4, (2,))).quasiroot == (1, 1, 1)
     assert find_inconsistency_witness(get_levi("A", 3)) is None
+    # the first hit of the chained-quadruple search, in its fixed search order
+    pinned = {
+        ("E", 6): ((1, 1, 1, 2, 2, 1),
+                   ((1, 1, 1, 1, 1, 0), (0, 0, 0, 0, 0, 1), (0, 0, 0, 1, 1, 0),
+                    (0, 1, 0, 0, 0, 0)),
+                   (0, 1, 0, 1, 1, 1)),
+        ("E", 7): ((0, 1, 1, 2, 2, 1, 1),
+                   ((0, 0, 0, 0, 0, 0, 1), (0, 1, 1, 2, 1, 1, 0), (0, 0, 0, 0, 1, 0, 0),
+                    (0, 0, 0, 0, 0, 1, 1)),
+                   (0, 1, 1, 2, 2, 2, 1)),
+        ("E", 8): ((0, 1, 1, 2, 1, 1, 1, 0),
+                   ((0, 0, 0, 1, 1, 1, 1, 0), (0, 1, 0, 0, 0, 0, 0, 0),
+                    (0, 0, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 1, 0)),
+                   (0, 1, 1, 1, 1, 1, 1, 0)),
+        ("D", 5): ((1, 1, 1, 1, 1),
+                   ((0, 0, 0, 1, 0), (0, 1, 1, 0, 1), (1, 0, 0, 0, 0), (0, 1, 1, 1, 0)),
+                   (1, 2, 2, 1, 1)),
+    }
+    for (t, r), (quasiroot, data, alternate) in pinned.items():
+        w = find_inconsistency_witness(get_levi(t, r))
+        assert w.pattern == "chained-quadruple"
+        assert (w.quasiroot, w.data, w.alternate) == (quasiroot, data, alternate), (t, r)
 
 
 def test_classify_good_examples():
@@ -217,6 +239,25 @@ def test_classify_good_examples():
     assert verdict.good and verdict.chain is not None and len(verdict.chain) == 2
     bad = classify_good(get_rs("D", 4), (2,), tbd)
     assert not bad.good and bad.witness.quasiroot == (1, 1, 1)
+
+
+def test_classify_good_decides_the_type_once(monkeypatch):
+    from orbitpoisson import levi as levi_module
+
+    calls = []
+    original = levi_module.quasiroot_system_type
+
+    def counted(levi):
+        calls.append(levi)
+        return original(levi)
+
+    monkeypatch.setattr(levi_module, "quasiroot_system_type", counted)
+    for gamma in [(), (2,), (1, 2)]:
+        calls.clear()
+        verdict = classify_good(get_rs("D", 4), gamma, get_basis("D", 4))
+        assert calls == [verdict.levi]
+        assert verdict.levi.gamma == frozenset(gamma)
+        assert verdict.chain == verdict.levi.type_verdict.chain
 
 
 def test_classify_good_b_type_highest_root():

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 from orbitpoisson.cli import EXIT_CONFIG, EXIT_OK, EXIT_WITNESS, main
 
@@ -135,3 +137,13 @@ def test_text_format(capsys):
     )
     assert code == EXIT_OK
     assert "a1+a2" in out and "1/3" in out
+
+
+def test_output_digests(capsys):
+    """stdout and exit code of a fixed argv list, byte for byte, against the
+    SHA-256 digests recorded in cli_digests.json."""
+    recorded = json.loads((Path(__file__).parent / "cli_digests.json").read_text())
+    for row in recorded:
+        code, out = run_cli(capsys, *row["argv"])
+        assert code == row["exit"], row["argv"]
+        assert hashlib.sha256(out.encode()).hexdigest() == row["stdout_sha256"], row["argv"]
