@@ -19,7 +19,6 @@ from .chevalley import ChevalleyBasis
 from .levi import (
     LeviDatum,
     Quasiroot,
-    admissible_pairs,
     admissible_triples,
     build_levi,
 )
@@ -304,7 +303,7 @@ def verify_square(
     levi = b.levi
     K2 = K * K
     failures = []
-    for qa, qb in admissible_pairs(levi):
+    for qa, qb in levi.pairs:
         ca, cb = b.coeffs[qa], b.coeffs[qb]
         cs = b.coeffs[add(qa, qb)]
         lhs = cs * (ca + cb)
@@ -348,7 +347,7 @@ def verify_compatible(
     KKS bivector."""
     levi = f.levi
     failures = []
-    for qa, qb in admissible_pairs(levi):
+    for qa, qb in levi.pairs:
         la, lb, ls = lam(qa), lam(qb), lam(add(qa, qb))
         lhs = f.coeffs[qa] * la * la + f.coeffs[qb] * lb * lb
         rhs = f.coeffs[add(qa, qb)] * ls * ls
@@ -406,11 +405,10 @@ def find_inconsistency_witness(levi: LeviDatum) -> Witness | None:
 
     # A sum of two positive quasiroots is a quasiroot iff they form an
     # admissible pair; after[a] lists the partners b of a in positive order.
-    pairs = admissible_pairs(levi)
     after: dict[Quasiroot, list[Quasiroot]] = {}
-    for a, b in pairs:
+    for a, b in levi.pairs:
         after.setdefault(a, []).append(b)
-    pairs = set(pairs)
+    pairs = set(levi.pairs)
     # x, y run in set order and z, w in positive order: the first hit is the
     # witness the CLI reports
     for x, y in pairs:
@@ -502,7 +500,7 @@ def solve_compatible(
 def _check_sign_rigidity(levi, intervals, u, lam, K, eps) -> bool:
     """Recompute the sign at every admissible pair (in the orientation whose
     left interval comes first); all must equal the global sign."""
-    for qa, qb in admissible_pairs(levi):
+    for qa, qb in levi.pairs:
         ia, ja = intervals[qa]
         ib, jb = intervals[qb]
         oriented = 1 if ja + 1 == ib else -1

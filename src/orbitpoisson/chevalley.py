@@ -143,10 +143,6 @@ class ChevalleyBasis:
         return self._n_norm.get((a, b), Fraction(0))
 
     @property
-    def structure_constants(self) -> dict[tuple[Coords, Coords], Fraction]:
-        return dict(self._n_norm)
-
-    @property
     def cartan_brackets(self) -> dict[Coords, tuple[Fraction, ...]]:
         """[E_mu, E_{-mu}] = t_mu, as coordinates over the t-basis."""
         return {mu: tuple(Fraction(c) for c in mu) for mu in self.rs.roots}
@@ -199,9 +195,6 @@ class ChevalleyBasis:
         return tuple(out)
 
     # -- element-level operations ------------------------------------------------
-
-    def zero(self) -> Element:
-        return {}
 
     def root_vector(self, mu: Coords, coeff=1) -> Element:
         return {self.index_of_root[mu]: as_scalar(coeff)}
@@ -281,14 +274,6 @@ class ChevalleyBasis:
 def build_chevalley_basis(rs: RootSystem) -> ChevalleyBasis:
     """Construct the normalized basis; total for every valid root system."""
     return ChevalleyBasis(rs)
-
-
-def bracket(basis: ChevalleyBasis, x: Element, y: Element) -> Element:
-    return basis.bracket(x, y)
-
-
-def cartan_involution(basis: ChevalleyBasis, x: Element) -> Element:
-    return basis.cartan_involution(x)
 
 
 # -- integral structure constants ------------------------------------------------

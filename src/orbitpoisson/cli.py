@@ -38,7 +38,7 @@ from .brackets import (
     verify_square,
 )
 from .chevalley import ChevalleyBasis, build_chevalley_basis
-from .invariants import betti_numbers, de_rham_betti
+from .invariants import WeylBoundExceeded, betti_numbers, de_rham_betti
 from .levi import LeviDatum, build_levi
 from .roots import RootSystem, build_root_system
 from .scalars import format_scalar, parse_scalar
@@ -291,8 +291,12 @@ def cmd_cohomology(args) -> tuple[dict, int]:
             "reason": outcome.reason,
         }
         return report, EXIT_WITNESS
+    # the oracle refuses oversized orbits at once; the complex would not
+    try:
+        oracle = de_rham_betti(rs, levi.gamma)
+    except WeylBoundExceeded as exc:
+        raise ConfigError(f"orbit too large for the cohomology oracle: {exc}") from exc
     betti = betti_numbers(levi, basis, outcome.solution)
-    oracle = de_rham_betti(rs, levi.gamma)
     match = betti == oracle
     report["result"] = {
         **meta,

@@ -201,18 +201,12 @@ class InvariantComplex:
         self.bivector = v
         self._vmv = realize(v, basis, check=False)
         self._bases: dict[int, list[Multivector]] = {}
-        self._solvers: dict[int, SpanSolver] = {}
         self._deltas: dict[int, list[dict[int, GaussianRational]]] = {}
 
     def basis_at(self, k: int) -> list[Multivector]:
         if k not in self._bases:
             self._bases[k] = invariant_basis(self.levi, self.basis, k)
         return self._bases[k]
-
-    def _solver_at(self, k: int) -> SpanSolver:
-        if k not in self._solvers:
-            self._solvers[k] = SpanSolver([v.terms for v in self.basis_at(k)])
-        return self._solvers[k]
 
     def differential(self, u: Multivector) -> Multivector:
         return schouten(self.basis, self._vmv, u, self.levi)
@@ -221,7 +215,7 @@ class InvariantComplex:
         """Sparse columns {position: coefficient}: the images of the
         degree-k basis in degree-(k+1) coordinates."""
         if k not in self._deltas:
-            solver = self._solver_at(k + 1)
+            solver = SpanSolver([v.terms for v in self.basis_at(k + 1)])
             cols = []
             for u in self.basis_at(k):
                 img = self.differential(u).terms

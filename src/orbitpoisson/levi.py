@@ -57,19 +57,14 @@ class LeviDatum:
         """The A_k verdict of quasiroot_system_type, computed once."""
         return quasiroot_system_type(self)
 
+    @cached_property
+    def pairs(self) -> tuple[tuple[Quasiroot, Quasiroot], ...]:
+        """The ordered pairs of admissible_pairs, computed once."""
+        return admissible_pairs(self)
+
     def project(self, root: Coords) -> Quasiroot:
         """Coordinate restriction to the positions outside Gamma."""
         return tuple(root[i] for i in self._free0)
-
-    def quasiroot_of(self, root: Coords) -> Quasiroot | None:
-        q = self.project(root)
-        return q if any(q) else None
-
-    def class_of(self, q: Quasiroot) -> tuple[Coords, ...]:
-        return self.classes[q]
-
-    def is_quasiroot(self, q) -> bool:
-        return tuple(q) in self.quasiroots
 
     def dim_m(self) -> int:
         return len(self.m_roots)
@@ -152,7 +147,7 @@ def verify_connecting_chains(levi: LeviDatum) -> ChainReport:
                 failures.append(("disconnected class", q, base, other))
 
     pair_reps = {}
-    for a, b in admissible_pairs(levi):
+    for a, b in levi.pairs:
         found = None
         for ra in levi.classes[a]:
             for rb in levi.classes[b]:

@@ -200,20 +200,9 @@ def _splits(key: Key, banned: frozenset[int]) -> list[tuple[int, int, Key]]:
 
 
 def ad_action(basis: ChevalleyBasis, x: Element, u: Multivector) -> Multivector:
-    """Extension of ad(x) to the exterior algebra as a derivation."""
-    out = Multivector.zero(u.degree)
-    for key, cu in u.terms.items():
-        for p, idx in enumerate(key):
-            rest = key[:p] + key[p + 1 :]
-            psign = -1 if p & 1 else 1
-            for a, ca in x.items():
-                for z, f in basis.bracket_index(a, idx):
-                    ins = _insert_front(z, rest)
-                    if ins is None:
-                        continue
-                    isign, new_key = ins
-                    out._accumulate(new_key, cu * ca * (f * (psign * isign)))
-    return out
+    """Extension of ad(x) to the exterior algebra as a derivation: the
+    Schouten bracket with x read as a degree-one multivector."""
+    return schouten(basis, Multivector(1, {(i,): c for i, c in x.items()}), u)
 
 
 def gamma_indices(basis: ChevalleyBasis, levi: LeviDatum) -> frozenset[int]:

@@ -50,7 +50,7 @@ def _edges(type_label: str, rank: int) -> list[tuple[int, int]]:
         return [(i, i + 1) for i in range(1, rank - 1)] + [(rank - 2, rank)]
     if type_label == "E":
         return [(1, 3), (3, 4), (4, 5), (2, 4)] + [(i, i + 1) for i in range(5, rank)]
-    raise AssertionError(type_label)
+    raise InternalInvariantError(f"no Dynkin data for type {type_label!r}")
 
 
 def _length_halves(type_label: str, rank: int) -> list[Fraction]:
@@ -67,7 +67,7 @@ def _length_halves(type_label: str, rank: int) -> list[Fraction]:
         return [one, one, half, half]
     if type_label == "G":
         return [Fraction(1, 3), one]
-    raise AssertionError(type_label)
+    raise InternalInvariantError(f"no Dynkin data for type {type_label!r}")
 
 
 def cartan_matrix(type_label: str, rank: int) -> list[list[int]]:
@@ -93,24 +93,6 @@ ROOT_COUNTS = {
     "F": lambda n: 48,
     "G": lambda n: 12,
 }
-
-WEYL_ORDERS = {
-    "A": lambda n: _factorial(n + 1),
-    "B": lambda n: 2**n * _factorial(n),
-    "C": lambda n: 2**n * _factorial(n),
-    "D": lambda n: 2 ** (n - 1) * _factorial(n),
-    "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
-    "F": lambda n: 1152,
-    "G": lambda n: 12,
-}
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
 
 class RootSystem:
     """The finite root system of one simple type.
@@ -199,22 +181,8 @@ class RootSystem:
                     total += bi * gj * row[j]
         return total
 
-    def is_root(self, v: Coords) -> bool:
-        return v in self._root_set
-
-    def is_positive(self, v: Coords) -> bool:
-        return v in self._positive_set
-
-    @staticmethod
-    def height(root: Coords) -> int:
-        return sum(root)
-
     def all_roots_sorted(self) -> tuple[Coords, ...]:
         return tuple(sorted(self.roots, key=self._sort_key))
-
-    @property
-    def weyl_order(self) -> int:
-        return WEYL_ORDERS[self.type_label](self.rank)
 
     def __repr__(self):
         return f"RootSystem({self.type_label}{self.rank}, {len(self.roots)} roots)"

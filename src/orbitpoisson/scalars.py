@@ -117,10 +117,6 @@ class GaussianRational:
 
     # -- predicates & protocol ----------------------------------------------
 
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
@@ -160,9 +156,7 @@ def _coerce(x) -> GaussianRational | None:
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
-ZERO = _gq(_F0, _F0)
 ONE = _gq(_F1, _F0)
-I = _gq(_F0, _F1)
 
 
 def as_scalar(x) -> GaussianRational:
@@ -224,16 +218,12 @@ def parse_scalar(text: str) -> GaussianRational:
     return _gq(re_part, im_part)
 
 
-def _fmt_fraction(q: Fraction) -> str:
-    return str(q)
-
-
 def format_scalar(z: GaussianRational) -> str:
     """Canonical lossless rendering of a Gaussian rational."""
     if not z.im:
-        return _fmt_fraction(z.re)
-    imag = f"{_fmt_fraction(abs(z.im))}*i"
+        return str(z.re)
+    imag = str(abs(z.im)) + "*i"
     if not z.re:
         return imag if z.im > 0 else f"-{imag}"
     joiner = "+" if z.im > 0 else "-"
-    return f"{_fmt_fraction(z.re)}{joiner}{imag}"
+    return str(z.re) + joiner + imag

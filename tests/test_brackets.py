@@ -260,6 +260,27 @@ def test_classify_good_decides_the_type_once(monkeypatch):
         assert verdict.chain == verdict.levi.type_verdict.chain
 
 
+def test_classify_good_computes_the_pairs_once(monkeypatch):
+    import sys
+
+    from orbitpoisson import levi as levi_module
+
+    calls = []
+    original = levi_module.admissible_pairs
+
+    def counted(levi):
+        calls.append(levi)
+        return original(levi)
+
+    # replace every binding, so that a module importing the name is counted too
+    for name, module in list(sys.modules.items()):
+        if name.startswith("orbitpoisson") and vars(module).get("admissible_pairs") is original:
+            monkeypatch.setattr(module, "admissible_pairs", counted)
+    verdict = classify_good(get_rs("D", 4), (1, 2), get_basis("D", 4))
+    assert verdict.good
+    assert calls == [verdict.levi]
+
+
 def test_classify_good_b_type_highest_root():
     tb = get_basis("B", 3)
     assert classify_good(get_rs("B", 3), (2, 3), tb).good  # removes the end node

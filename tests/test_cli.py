@@ -115,6 +115,11 @@ def test_bad_inputs_exit_config(capsys):
     ):
         assert main(argv) == EXIT_CONFIG, argv
         assert capsys.readouterr().out == ""
+    # refused by the oracle's coset bound before the complex is built
+    argv = ["cohomology", "E", "7", "--mode", "kks", "--lambda", "1,1,1,1,1,1,1"]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "2903040 cosets" in captured.err
 
 
 def test_config_file(tmp_path, capsys):

@@ -6,13 +6,20 @@ import orbitpoisson
 SRC = Path(orbitpoisson.__file__).parent
 
 
+def _raises_assertion_error(node) -> bool:
+    return isinstance(node, ast.Raise) and node.exc is not None and any(
+        isinstance(n, ast.Name) and n.id == "AssertionError" for n in ast.walk(node.exc)
+    )
+
+
 def test_no_assert_statements():
-    # python -O strips assert; internal checks raise InternalInvariantError
+    # python -O strips assert; internal checks raise InternalInvariantError,
+    # never a bare AssertionError
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
+        if isinstance(node, ast.Assert) or _raises_assertion_error(node)
     ]
     assert found == []
 
