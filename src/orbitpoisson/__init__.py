@@ -36,7 +36,6 @@ from .chevalley import ChevalleyBasis, build_chevalley_basis
 from .invariants import (
     InvariantComplex,
     WeylBoundExceeded,
-    admissibility_probe,
     betti_numbers,
     de_rham_betti,
     invariant_basis,
@@ -82,7 +81,6 @@ __all__ = [
     "WeylBoundExceeded",
     "Witness",
     "ad_action",
-    "admissibility_probe",
     "admissible_pairs",
     "admissible_triples",
     "as_scalar",

@@ -22,7 +22,7 @@ from math import prod
 from .brackets import InternalInvariantError, InvariantBivector, realize
 from .chevalley import ChevalleyBasis
 from .levi import LeviDatum, Quasiroot
-from .linalg import SpanSolver, kernel_basis, rank_of
+from .linalg import kernel_basis, rank_of
 from .multivec import Multivector, _insert_front, ad_action, schouten
 from .roots import Coords, RootSystem, add, negate
 from .scalars import GaussianRational, as_scalar
@@ -112,7 +112,12 @@ def invariant_basis(
     levi: LeviDatum, basis: ChevalleyBasis, k: int
 ) -> list[Multivector]:
     """Exact basis of the invariant subspace of the k-th exterior power of the
-    tangent space."""
+    tangent space.
+
+    Every vector owns its first monomial: the coefficient there is 1 and no
+    other vector of the degree contains it (the free column of its kernel
+    vector, inside a signature block disjoint from the others).
+    _owner_coordinates reads coordinates in this basis off the owners."""
     monos = weight_zero_monomials(levi, basis, k)
     if not monos:
         return []
@@ -140,6 +145,28 @@ def invariant_basis(
     return vectors
 
 
+def _owner_coordinates(
+    vectors: list[Multivector], images
+) -> list[dict[int, GaussianRational]]:
+    """Sparse coordinates {position: coefficient}, by increasing position, of
+    each image (a terms dict) in an invariant_basis list: the coordinate of
+    vector i is the image's coefficient at the monomial that vector owns.
+    Each image must equal its combination term for term, so an image outside
+    the span, or a wrong owner, raises instead of giving wrong coordinates."""
+    owner = {next(iter(v.terms)): i for i, v in enumerate(vectors)}
+    out = []
+    for img in images:
+        coords = dict(sorted((owner[m], c) for m, c in img.items() if m in owner))
+        combo: dict = {}
+        for i, c in coords.items():
+            for m, b in vectors[i].terms.items():
+                combo[m] = combo[m] + c * b if m in combo else c * b
+        if {m: c for m, c in combo.items() if c} != img:
+            raise InternalInvariantError("image fell outside the invariant space")
+        out.append(coords)
+    return out
+
+
 def invariant_dimension(levi: LeviDatum, basis: ChevalleyBasis, k: int) -> int:
     return len(invariant_basis(levi, basis, k))
 
@@ -163,14 +190,15 @@ def theta_apply(basis: ChevalleyBasis, mv: Multivector) -> Multivector:
 def theta_split(
     basis: ChevalleyBasis, vectors: list[Multivector]
 ) -> tuple[list[Multivector], list[Multivector]]:
-    """Split a theta-stable span into (invariant, anti-invariant) parts."""
+    """Split the theta-stable span of an invariant_basis list into
+    (invariant, anti-invariant) parts."""
     if not vectors:
         return [], []
-    solver = SpanSolver([v.terms for v in vectors])
     n = len(vectors)
     t_rows: list[dict] = [{} for _ in range(n)]  # the matrix T of theta
-    for j, v in enumerate(vectors):
-        for i, c in solver.express(theta_apply(basis, v).terms).items():
+    images = (theta_apply(basis, v).terms for v in vectors)
+    for j, col in enumerate(_owner_coordinates(vectors, images)):
+        for i, c in col.items():
             t_rows[i][j] = c
 
     def shifted(s) -> list[dict]:  # rows of T + s*I
@@ -201,7 +229,6 @@ class InvariantComplex:
         self.bivector = v
         self._vmv = realize(v, basis, check=False)
         self._bases: dict[int, list[Multivector]] = {}
-        self._deltas: dict[int, list[dict[int, GaussianRational]]] = {}
 
     def basis_at(self, k: int) -> list[Multivector]:
         if k not in self._bases:
@@ -214,19 +241,8 @@ class InvariantComplex:
     def delta_matrix(self, k: int) -> list[dict[int, GaussianRational]]:
         """Sparse columns {position: coefficient}: the images of the
         degree-k basis in degree-(k+1) coordinates."""
-        if k not in self._deltas:
-            solver = SpanSolver([v.terms for v in self.basis_at(k + 1)])
-            cols = []
-            for u in self.basis_at(k):
-                img = self.differential(u).terms
-                try:
-                    cols.append(solver.express(img) if img else {})
-                except ValueError as exc:
-                    raise InternalInvariantError(
-                        "differential image fell outside the invariant space"
-                    ) from exc
-            self._deltas[k] = cols
-        return self._deltas[k]
+        images = (self.differential(u).terms for u in self.basis_at(k))
+        return _owner_coordinates(self.basis_at(k + 1), images)
 
     def betti_numbers(self) -> list[int]:
         dim_m = self.levi.dim_m()
@@ -367,46 +383,3 @@ def tensor_multiplicity(
                     row[j] = row.get(j, Fraction(0)) + coeff
     kern = kernel_basis(list(rows.values()), len(triples))
     return len(kern)
-
-
-def admissibility_probe(
-    levi: LeviDatum,
-    basis: ChevalleyBasis,
-    samples: int,
-    rng_seed: int = 0,
-    K=1,
-) -> list[dict]:
-    """Empirical probe: random verified bivectors from the recursion, their
-    cohomology, and whether it matches the Weyl oracle.  On a mismatch the
-    sample is redrawn once and both outcomes are reported."""
-    import random as _random
-
-    from .brackets import solve_recursion, verify_square
-
-    rng = _random.Random(rng_seed)
-    oracle = de_rham_betti(levi.rs, levi.gamma)
-    results = []
-    for trial in range(samples):
-        record: dict = {"trial": trial}
-        for attempt in range(2):
-            seeds = [rng.randint(1, 19) for _ in levi.simple_quasiroots]
-            outcome = solve_recursion(levi, seeds, K)
-            if not outcome.is_success:
-                record[f"attempt{attempt}"] = {"seeds": seeds, "witness": True}
-                continue
-            if not verify_square(outcome.solution, K, basis).ok:
-                raise InternalInvariantError("recursion output failed verification")
-            betti = betti_numbers(levi, basis, outcome.solution)
-            padded = betti + [0] * (len(oracle) - len(betti))
-            match = padded[: len(oracle)] == oracle and all(
-                b == 0 for b in padded[len(oracle):]
-            )
-            record[f"attempt{attempt}"] = {
-                "seeds": seeds,
-                "betti": betti,
-                "match": match,
-            }
-            if match:
-                break
-        results.append(record)
-    return results

@@ -1,10 +1,11 @@
 import pytest
 
 from orbitpoisson import (
+    InternalInvariantError,
     InvariantComplex,
     LinearForm,
+    Multivector,
     WeylBoundExceeded,
-    admissibility_probe,
     betti_numbers,
     de_rham_betti,
     invariant_basis,
@@ -15,8 +16,10 @@ from orbitpoisson import (
     solve_recursion,
     tensor_multiplicity,
     theta_split,
+    verify_square,
     weight_zero_monomials,
 )
+from orbitpoisson import invariants
 from orbitpoisson.invariants import weyl_coset_count
 from orbitpoisson.linalg import SpanSolver
 
@@ -106,9 +109,11 @@ def test_betti_a2_full_flag():
 def test_betti_recursion_bracket_nonzero_k():
     levi = get_levi("A", 2)
     tb = get_basis("A", 2)
-    out = solve_recursion(levi, [1, 2], 1)
-    assert out.is_success
-    assert betti_numbers(levi, tb, out.solution) == de_rham_betti(get_rs("A", 2), ())
+    for seeds in ([1, 2], [5, 19], [3, 9], [4, 16]):
+        out = solve_recursion(levi, seeds, 1)
+        assert out.is_success, seeds
+        assert verify_square(out.solution, 1, tb).ok, seeds
+        assert betti_numbers(levi, tb, out.solution) == de_rham_betti(get_rs("A", 2), ()), seeds
 
 
 def test_de_rham_oracle():
@@ -167,11 +172,70 @@ def test_euler_characteristic_of_invariant_complex():
     assert euler == sum(de_rham_betti(get_rs("A", 2), ()))
 
 
-def test_admissibility_probe_matches_on_a2():
+# the cohomology_* benchmark orbits, A2 and D4{1,2}
+OWNER_ORBITS = [
+    ("A", 2, ()), ("D", 4, (1, 2)), ("C", 3, (1,)), ("A", 4, (1, 4)), ("A", 4, (2, 3)),
+    ("A", 4, (1, 2)), ("B", 4, (2, 3, 4)), ("G", 2, ()), ("A", 3, ()), ("D", 4, (1, 2, 3)),
+    ("C", 3, (1, 2)),
+]
+
+
+@pytest.mark.parametrize("orbit", OWNER_ORBITS, ids=lambda o: f"{o[0]}{o[1]}{list(o[2])}")
+def test_invariant_basis_vectors_own_their_first_monomial(orbit):
+    t, r, gamma = orbit
+    levi = get_levi(t, r, gamma)
+    tb = get_basis(t, r)
+    for k in range(levi.dim_m() + 1):
+        vectors = invariant_basis(levi, tb, k)
+        owners = [next(iter(v.terms)) for v in vectors]
+        for i, v in enumerate(vectors):
+            assert v.terms[owners[i]] == 1, (k, i)
+            assert all(owners[i] not in w.terms for j, w in enumerate(vectors) if j != i), (k, i)
+
+
+class _DroppedTermComplex(InvariantComplex):
+    """A differential that loses one term of every nonzero image."""
+
+    def differential(self, u):
+        img = super().differential(u)
+        if img.is_zero():
+            return img
+        terms = dict(img.terms)
+        terms.pop(next(iter(terms)))
+        return Multivector(img.degree, terms)
+
+
+def test_image_outside_the_invariant_span_raises():
+    levi = get_levi("A", 3, (2,))
+    tb = get_basis("A", 3)
+    v = kks(levi, LinearForm(levi, [1, 1]))
+    with pytest.raises(InternalInvariantError, match="fell outside the invariant space"):
+        _DroppedTermComplex(levi, tb, v).betti_numbers()
+
+
+def test_a_wrong_owner_raises(monkeypatch):
+    levi = get_levi("A", 3, (2,))
+    tb = get_basis("A", 3)
+    v = kks(levi, LinearForm(levi, [1, 1]))
+    basis = invariants.invariant_basis
+
+    def reversed_terms(levi, tb, k):
+        return [Multivector(k, dict(reversed(w.terms.items()))) for w in basis(levi, tb, k)]
+
+    monkeypatch.setattr(invariants, "invariant_basis", reversed_terms)
+    with pytest.raises(InternalInvariantError, match="fell outside the invariant space"):
+        InvariantComplex(levi, tb, v).betti_numbers()
+
+
+def test_the_complex_solves_no_span(monkeypatch):
     levi = get_levi("A", 2)
-    tb = get_basis("A", 2)
-    results = admissibility_probe(levi, tb, samples=3, rng_seed=1)
-    for record in results:
-        assert any(
-            record.get(f"attempt{k}", {}).get("match") for k in (0, 1)
-        )
+    tb = get_basis("A", 2)  # its Killing dual basis is solved before the patch
+    v = kks(levi, LinearForm(levi, [1, 2]))
+
+    def refuse(self, vector):
+        raise AssertionError("SpanSolver.express called")
+
+    monkeypatch.setattr(SpanSolver, "express", refuse)
+    assert betti_numbers(levi, tb, v) == [1, 0, 2, 0, 2, 0, 1]
+    plus, minus = theta_split(tb, invariant_basis(levi, tb, 3))
+    assert len(plus) + len(minus) == 2
