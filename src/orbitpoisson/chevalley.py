@@ -15,6 +15,10 @@ the Killing-dual of mu, and the cyclic identity
 
 holds with equal (unweighted) values.
 
+The normalized constants live once, in the index-keyed bracket table: each
+entry is rescaled from the integral constant as the table is built, and both
+bracket_index and structure_constant read it.
+
 Basis layout: indices 0..rank-1 are the Cartan elements t_1..t_rank (duals of
 the simple roots), index rank+k is E_mu for the k-th root in the global
 (height, coordinates) order; negative roots therefore come first.
@@ -46,7 +50,6 @@ class ChevalleyBasis:
         self._killing_h = self._killing_cartan_gram()
         self._t_mat = self._solve_t_basis()
         self._weights = self._weight_table()
-        self._n_norm = self._normalized_constants()
         self._table = self._bracket_table()
         self._theta = self._theta_table()
         self._phi_cache = None
@@ -130,22 +133,13 @@ class ChevalleyBasis:
             return Fraction(1)
         return Fraction(self._killing_c[negate(mu)])
 
-    def _normalized_constants(self) -> dict[tuple[Coords, Coords], Fraction]:
-        out = {}
-        for (a, b), n in self._n_int.items():
-            out[(a, b)] = (
-                Fraction(n) * self._scale(add(a, b)) / (self._scale(a) * self._scale(b))
-            )
-        return out
-
     def structure_constant(self, a: Coords, b: Coords) -> Fraction:
-        """Normalized N(a,b); 0 when a+b is not a root."""
-        return self._n_norm.get((a, b), Fraction(0))
-
-    @property
-    def cartan_brackets(self) -> dict[Coords, tuple[Fraction, ...]]:
-        """[E_mu, E_{-mu}] = t_mu, as coordinates over the t-basis."""
-        return {mu: tuple(Fraction(c) for c in mu) for mu in self.rs.roots}
+        """Normalized N(a,b), read off the bracket table; 0 when a+b is not a
+        root (a = -b included)."""
+        for k, c in self.bracket_index(self.index_of_root[a], self.index_of_root[b]):
+            if k >= self.rank:
+                return c
+        return Fraction(0)
 
     def weight(self, mu: Coords, i: int) -> Fraction:
         """mu(t_i), the action of the i-th Cartan basis element on E_mu."""
@@ -173,9 +167,11 @@ class ChevalleyBasis:
                 else:
                     s = add(mu, nu)
                     if s in self.rs._root_set:
-                        table[(i_mu, i_nu)] = (
-                            (self.index_of_root[s], self._n_norm[(mu, nu)]),
+                        n_norm = (
+                            Fraction(self._n_int[(mu, nu)])
+                            * self._scale(s) / (self._scale(mu) * self._scale(nu))
                         )
+                        table[(i_mu, i_nu)] = ((self.index_of_root[s], n_norm),)
         return table
 
     def bracket_index(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:

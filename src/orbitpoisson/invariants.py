@@ -24,7 +24,7 @@ from .chevalley import ChevalleyBasis
 from .levi import LeviDatum, Quasiroot
 from .linalg import kernel_basis, rank_of
 from .multivec import Multivector, _insert_front, ad_action, schouten
-from .roots import Coords, RootSystem, add, negate
+from .roots import RootSystem, add, negate
 from .scalars import GaussianRational, as_scalar
 
 
@@ -78,9 +78,9 @@ def _raising_rows(levi, basis, monomials):
     col = {m: j for j, m in enumerate(monomials)}
     rows: dict[tuple, dict[int, Fraction]] = {}
     for g in sorted(levi.gamma):
-        gamma_root = levi.rs.simple_roots[g - 1]
+        gamma_idx = basis.index_of_root[levi.rs.simple_roots[g - 1]]
         for m, j in col.items():
-            for image, coeff in _ad_root_monomial(basis, gamma_root, m):
+            for image, coeff in _ad_root_monomial(basis, gamma_idx, m):
                 row = rows.setdefault((g, image), {})
                 row[j] = row.get(j, Fraction(0)) + coeff
     return [
@@ -88,24 +88,17 @@ def _raising_rows(levi, basis, monomials):
     ]
 
 
-def _ad_root_monomial(basis: ChevalleyBasis, gamma_root: Coords, monomial):
-    """Action of ad(E_gamma) on a wedge monomial of root vectors, as
-    (image monomial, coefficient) pairs; images stay inside the tangent
-    space."""
-    rs = basis.rs
-    n = basis.rank
+def _ad_root_monomial(basis: ChevalleyBasis, gamma_idx: int, monomial):
+    """Action of ad(E_gamma), gamma a Levi root given by its basis index, on a
+    wedge monomial of tangent root vectors, as (image monomial, coefficient)
+    pairs; gamma + mu is never 0, so images stay inside the tangent space."""
     for p, idx in enumerate(monomial):
-        mu = basis.root_order[idx - n]
-        target = add(gamma_root, mu)
-        if target not in rs._root_set:
-            continue
-        coeff = basis.structure_constant(gamma_root, mu)
-        t_idx = basis.index_of_root[target]
-        ins = _insert_front(t_idx, monomial[:p] + monomial[p + 1 :])
-        if ins is None:
-            continue
-        isign, image = ins
-        yield image, coeff * (-isign if p & 1 else isign)
+        for t_idx, coeff in basis.bracket_index(gamma_idx, idx):
+            ins = _insert_front(t_idx, monomial[:p] + monomial[p + 1 :])
+            if ins is None:
+                continue
+            isign, image = ins
+            yield image, coeff * (-isign if p & 1 else isign)
 
 
 def invariant_basis(
@@ -355,8 +348,9 @@ def tensor_multiplicity(
     c1 = levi.classes[q1]
     c2 = levi.classes[q2]
     c3 = levi.classes[negate(s)]
+    idx = basis.index_of_root
     triples = [
-        (a, b, c)
+        (idx[a], idx[b], idx[c])
         for a in c1
         for b in c2
         for c in c3
@@ -367,19 +361,14 @@ def tensor_multiplicity(
     col = {t: j for j, t in enumerate(triples)}
     rows: dict[tuple, dict[int, Fraction]] = {}
     for g in sorted(levi.gamma):
-        for gamma_root in (
-            levi.rs.simple_roots[g - 1],
-            negate(levi.rs.simple_roots[g - 1]),
-        ):
+        simple = levi.rs.simple_roots[g - 1]
+        # a Levi root plus a class root is never 0: no Cartan images
+        for x in (idx[simple], idx[negate(simple)]):
             for t, j in col.items():
                 for slot in range(3):
-                    mu = t[slot]
-                    target = add(gamma_root, mu)
-                    if target not in levi.rs._root_set:
-                        continue
-                    coeff = basis.structure_constant(gamma_root, mu)
-                    image = t[:slot] + (target,) + t[slot + 1 :]
-                    row = rows.setdefault((g, gamma_root, image), {})
-                    row[j] = row.get(j, Fraction(0)) + coeff
+                    for target, coeff in basis.bracket_index(x, t[slot]):
+                        image = t[:slot] + (target,) + t[slot + 1 :]
+                        row = rows.setdefault((x, image), {})
+                        row[j] = row.get(j, Fraction(0)) + coeff
     kern = kernel_basis(list(rows.values()), len(triples))
     return len(kern)

@@ -1,6 +1,9 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 from orbitpoisson.roots import add, negate
 
@@ -172,7 +175,32 @@ def test_cartan_involution_preserves_killing():
         )
 
 
-def test_cartan_brackets_table():
-    tb = get_basis("D", 4)
-    for mu, coords in tb.cartan_brackets.items():
-        assert coords == tuple(Fraction(c) for c in mu)
+def chevalley_digests(tb) -> dict[str, str]:
+    """SHA-256 of bracket_index over all ordered index pairs and of
+    structure_constant over all ordered root pairs (a = -b included), each
+    Fraction written with str."""
+    brackets = hashlib.sha256()
+    for i in range(tb.dim):
+        for j in range(tb.dim):
+            entries = " ".join(f"{k}:{c}" for k, c in tb.bracket_index(i, j))
+            brackets.update(f"{i} {j} {entries}\n".encode())
+    constants = hashlib.sha256()
+    for a in tb.root_order:
+        for b in tb.root_order:
+            constants.update(f"{a} {b} {tb.structure_constant(a, b)}\n".encode())
+    return {
+        "bracket_index_sha256": brackets.hexdigest(),
+        "structure_constant_sha256": constants.hexdigest(),
+    }
+
+
+def test_chevalley_digests():
+    """The bracket table and the normalized constants, byte for byte, against
+    the digests recorded in chevalley_digests.json."""
+    recorded = json.loads((Path(__file__).parent / "chevalley_digests.json").read_text())
+    assert [(row["type"], row["rank"]) for row in recorded] == [
+        ("A", 5), ("B", 4), ("C", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)
+    ]
+    for row in recorded:
+        got = chevalley_digests(get_basis(row["type"], row["rank"]))
+        assert got == {k: row[k] for k in got}, (row["type"], row["rank"])

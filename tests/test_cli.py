@@ -133,6 +133,12 @@ def test_config_file(tmp_path, capsys):
     assert out == out2
     code3, out3 = run_cli(capsys, f"--config={cfg}")
     assert code3 == EXIT_OK and out3 == out
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfe\x00")
+    code4 = main(["--config", str(binary)])
+    captured = capsys.readouterr()
+    assert code4 == EXIT_CONFIG and captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_text_format(capsys):

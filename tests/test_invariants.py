@@ -164,6 +164,15 @@ def test_tensor_multiplicity_d4():
         tensor_multiplicity(levi, tb, simple[0], simple[0])
 
 
+def test_tensor_multiplicity_equal_classes_b2():
+    # V_(1) is the standard module of the Levi sl2 and V_(2) is trivial, so
+    # the trivial summand of std (x) std is its exterior square, once
+    levi = get_levi("B", 2, (1,))
+    tb = get_basis("B", 2)
+    assert len(levi.classes[(1,)]) == 2 and len(levi.classes[(2,)]) == 1
+    assert tensor_multiplicity(levi, tb, (1,), (1,)) == 1
+
+
 def test_euler_characteristic_of_invariant_complex():
     levi = get_levi("A", 2)
     tb = get_basis("A", 2)

@@ -36,3 +36,11 @@ def test_no_projection_of_a_full_bracket():
     paths = sorted(SRC.glob("*.py")) + sorted((SRC.parents[1] / "demos").glob("*.py"))
     found = [p.name for p in paths if "project_to_m(schouten(" in p.read_text(encoding="utf-8")]
     assert found == []
+
+
+def test_levi_actions_read_the_bracket_table():
+    # the Levi actions act on basis indices through bracket_index, the one
+    # table of normalized structure constants
+    lines = (SRC / "invariants.py").read_text(encoding="utf-8").splitlines()
+    found = [n for n, line in enumerate(lines, 1) if "structure_constant(" in line]
+    assert found == []
