@@ -2,13 +2,16 @@
 trace form pairs opposite root vectors to 1.
 
 Construction goes in two stages.  First an integral basis {x_mu} is built with
-the classical extraspecial-pair sign convention: positive roots are totally
-ordered by (height, coordinates); for each non-simple positive root the
-minimal decomposition pair gets a positive structure constant p+1, and every
-other constant follows from the standard antisymmetry, negation, and
-four-root relations.  Second, the Killing form is computed exactly as the
-trace form of the adjoint action, and each negative root vector is rescaled
-so that K(E_mu, E_{-mu}) = 1.  In the rescaled basis [E_mu, E_{-mu}] = t_mu,
+the classical extraspecial-pair sign convention (Carter, Simple Groups of Lie
+Type, ch. 4): positive roots are totally ordered by (height, coordinates); for
+each non-simple positive root the minimal decomposition pair gets a positive
+structure constant p+1, the four-root relation fixes the other positive pairs,
+and every remaining constant follows from the antisymmetry, negation and norm
+rules, applied when the constant is asked for.  Second, the Killing form is
+computed exactly as the trace form of the adjoint action on the Cartan
+subalgebra; by invariance K(x_mu, x_{-mu}) = K(h_mu, h_mu) / 2 for the coroot
+h_mu = [x_mu, x_{-mu}], and each negative root vector is rescaled so that
+K(E_mu, E_{-mu}) = 1.  In the rescaled basis [E_mu, E_{-mu}] = t_mu,
 the Killing-dual of mu, and the cyclic identity
 
     N(a, b) = N(b, c) = N(c, a)   whenever a + b + c = 0
@@ -26,6 +29,7 @@ the simple roots), index rank+k is E_mu for the k-th root in the global
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 
 from .linalg import SpanSolver
@@ -46,8 +50,8 @@ class ChevalleyBasis:
 
         self._norm = {r: rs.inner(r, r) for r in rs.roots}
         self._n_int = _integral_constants(rs, self._norm)
-        self._killing_c = self._killing_opposite_pairs()
         self._killing_h = self._killing_cartan_gram()
+        self._killing_c = self._killing_opposite_pairs()
         self._t_mat = self._solve_t_basis()
         self._weights = self._weight_table()
         self._table = self._bracket_table()
@@ -58,9 +62,12 @@ class ChevalleyBasis:
 
     def integral_structure_constant(self, a: Coords, b: Coords) -> int:
         """N(a,b) in the integral basis; 0 when a+b is not a root."""
-        if add(a, b) not in self.rs._root_set:
-            return 0
-        return self._n_int[(a, b)]
+        value = self._n_int(a, b)
+        if value.denominator != 1:
+            raise InternalInvariantError(
+                f"structure constant {value} of {a} + {b} is not an integer"
+            )
+        return int(value)
 
     def string_length_p(self, a: Coords, b: Coords) -> int:
         """Largest p with b - p*a a root."""
@@ -72,20 +79,19 @@ class ChevalleyBasis:
         return self._killing_c[key]
 
     def _killing_opposite_pairs(self) -> dict[Coords, int]:
-        # Tr(ad x_a ad x_{-a}) = 4 + sum over root strings through a
-        rs = self.rs
+        # by invariance K(x_a, x_{-a}) = K(h_a, h_a) / 2, where the coroot
+        # h_a = [x_a, x_{-a}] = sum_i a_i |a_i|^2 / |a|^2 h_i
+        gram = self._killing_h
+        simple_norm = [self._norm[s] for s in self.rs.simple_roots]
         out = {}
-        for alpha in rs.positive_roots:
-            total = 4
-            for mu in rs.roots:
-                if mu == alpha:
-                    continue
-                shifted = sub(mu, alpha)
-                if shifted in rs._root_set:
-                    total += self.integral_structure_constant(
-                        negate(alpha), mu
-                    ) * self.integral_structure_constant(alpha, shifted)
-            out[alpha] = total
+        for alpha in self.rs.positive_roots:
+            h = [(i, c * simple_norm[i] / self._norm[alpha]) for i, c in enumerate(alpha) if c]
+            value = sum(x * y * gram[i][j] for i, x in h for j, y in h) / 2
+            if value.denominator != 1 or value <= 0:
+                raise InternalInvariantError(
+                    f"Killing pairing {value} of x_{alpha} is not a positive integer"
+                )
+            out[alpha] = int(value)
         return out
 
     def _killing_cartan_gram(self) -> list[list[int]]:
@@ -168,7 +174,7 @@ class ChevalleyBasis:
                     s = add(mu, nu)
                     if s in self.rs._root_set:
                         n_norm = (
-                            Fraction(self._n_int[(mu, nu)])
+                            Fraction(self.integral_structure_constant(mu, nu))
                             * self._scale(s) / (self._scale(mu) * self._scale(nu))
                         )
                         table[(i_mu, i_nu)] = ((self.index_of_root[s], n_norm),)
@@ -277,7 +283,8 @@ def build_chevalley_basis(rs: RootSystem) -> ChevalleyBasis:
 
 def _integral_constants(
     rs: RootSystem, norm: dict[Coords, Fraction]
-) -> dict[tuple[Coords, Coords], int]:
+) -> Callable[[Coords, Coords], Fraction]:
+    """The sign and norm rules over the extraspecial-derived positive pairs."""
     positives = rs.positive_roots
     pos_set = rs._positive_set
     root_set = rs._root_set
@@ -291,7 +298,7 @@ def _integral_constants(
         return -special[(b, a)]
 
     def n_any(u: Coords, v: Coords) -> Fraction:
-        # u+v assumed nonzero; returns 0 when u+v is not a root
+        # 0 when u+v is not a root (u = -v included)
         w = add(u, v)
         if w not in root_set:
             return Fraction(0)
@@ -354,18 +361,7 @@ def _integral_constants(
                 )
             special[(x, y)] = value
 
-    table: dict[tuple[Coords, Coords], int] = {}
-    for u in root_set:
-        for v in root_set:
-            s = add(u, v)
-            if s in root_set:
-                value = n_any(u, v)
-                if value.denominator != 1:
-                    raise InternalInvariantError(
-                        f"structure constant {value} of {u} + {v} is not an integer"
-                    )
-                table[(u, v)] = int(value)
-    return table
+    return n_any
 
 
 def _string_length(root_set, a: Coords, b: Coords) -> int:

@@ -76,7 +76,8 @@ def _parse_scalar(text: str, what: str):
 
 
 def _parse_scalars(text: str, what: str) -> list:
-    return [_parse_scalar(x, what) for x in text.split(",")]
+    # empty text is the empty list: a point orbit's form has no values
+    return [_parse_scalar(x, what) for x in text.split(",")] if text else []
 
 
 def _quasiroot_label(levi: LeviDatum, q) -> str:
@@ -377,8 +378,8 @@ def _apply_config(argv: list[str]) -> list[str]:
     flags = []
     for key, value in cfg.items():
         flag = "--" + key.replace("_", "-")
-        if flag in rest:
-            continue  # explicit flags win
+        if any(a == flag or a.startswith(flag + "=") for a in rest):
+            continue  # explicit flags win, as --flag value or --flag=value
         if value.lower() in ("true", "false"):
             if value.lower() == "true":
                 flags.append(flag)

@@ -95,6 +95,24 @@ def test_integral_constants_are_p_plus_one():
                     assert abs(n) == tb.string_length_p(a, b) + 1
 
 
+def test_killing_opposite_is_the_root_string_trace():
+    # Tr(ad x_a ad x_-a) summed directly: 4 from the Cartan subalgebra and
+    # x_{±a}, plus N(-a, mu) N(a, mu - a) for every other root mu
+    recorded = json.loads((Path(__file__).parent / "chevalley_digests.json").read_text())
+    for row in recorded:
+        tb = get_basis(row["type"], row["rank"])
+        rs = tb.rs
+        for alpha in rs.positive_roots:
+            total = 4
+            for mu in rs.roots:
+                shifted = add(mu, negate(alpha))
+                if mu != alpha and shifted in rs._root_set:
+                    total += tb.integral_structure_constant(
+                        negate(alpha), mu
+                    ) * tb.integral_structure_constant(alpha, shifted)
+            assert total == tb.killing_opposite(alpha), (row["type"], row["rank"], alpha)
+
+
 def test_a2_extraspecial_sign_and_cyclic():
     tb = get_basis("A", 2)
     a1, a2 = (1, 0), (0, 1)
@@ -176,27 +194,36 @@ def test_cartan_involution_preserves_killing():
 
 
 def chevalley_digests(tb) -> dict[str, str]:
-    """SHA-256 of bracket_index over all ordered index pairs and of
-    structure_constant over all ordered root pairs (a = -b included), each
-    Fraction written with str."""
+    """SHA-256 of bracket_index over all ordered index pairs, of
+    structure_constant and integral_structure_constant over all ordered root
+    pairs (a = -b included), each value written with str, and of
+    killing_opposite over the positive roots."""
     brackets = hashlib.sha256()
     for i in range(tb.dim):
         for j in range(tb.dim):
             entries = " ".join(f"{k}:{c}" for k, c in tb.bracket_index(i, j))
             brackets.update(f"{i} {j} {entries}\n".encode())
     constants = hashlib.sha256()
+    integral = hashlib.sha256()
     for a in tb.root_order:
         for b in tb.root_order:
             constants.update(f"{a} {b} {tb.structure_constant(a, b)}\n".encode())
+            integral.update(f"{a} {b} {tb.integral_structure_constant(a, b)}\n".encode())
+    killing = hashlib.sha256()
+    for alpha in tb.rs.positive_roots:
+        killing.update(f"{alpha} {tb.killing_opposite(alpha)}\n".encode())
     return {
         "bracket_index_sha256": brackets.hexdigest(),
         "structure_constant_sha256": constants.hexdigest(),
+        "integral_structure_constant_sha256": integral.hexdigest(),
+        "killing_opposite_sha256": killing.hexdigest(),
     }
 
 
 def test_chevalley_digests():
-    """The bracket table and the normalized constants, byte for byte, against
-    the digests recorded in chevalley_digests.json."""
+    """The bracket table, the normalized and integral constants and the
+    Killing scale, byte for byte, against the digests recorded in
+    chevalley_digests.json."""
     recorded = json.loads((Path(__file__).parent / "chevalley_digests.json").read_text())
     assert [(row["type"], row["rank"]) for row in recorded] == [
         ("A", 5), ("B", 4), ("C", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)

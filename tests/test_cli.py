@@ -133,12 +133,34 @@ def test_config_file(tmp_path, capsys):
     assert out == out2
     code3, out3 = run_cli(capsys, f"--config={cfg}")
     assert code3 == EXIT_OK and out3 == out
+    # an explicit flag wins over the file, in the --flag value and --flag=value forms
+    (tmp_path / "lam.cfg").write_text("lambda = 3,4\n")
+    for explicit in (["--lambda", "1,2"], ["--lambda=1,2"]):
+        argv = ["solve", "A", "2", "--mode", "kks", *explicit, "--config", str(tmp_path / "lam.cfg")]
+        code5, out5 = run_cli(capsys, *argv)
+        assert code5 == EXIT_OK and out5 == out2, explicit
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"\xff\xfe\x00")
     code4 = main(["--config", str(binary)])
     captured = capsys.readouterr()
     assert code4 == EXIT_CONFIG and captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_point_orbit_empty_lambda(capsys):
+    # every node in Gamma: the form has no values, and the orbit is a point
+    code, out = run_cli(capsys, "solve", "A", "2", "--gamma", "1,2", "--mode", "kks", "--lambda", "")
+    assert code == EXIT_OK
+    assert json.loads(out)["result"]["coefficients"] == []
+    code, out = run_cli(
+        capsys, "cohomology", "A", "2", "--gamma", "1,2", "--mode", "kks", "--lambda", ""
+    )
+    assert code == EXIT_OK
+    result = json.loads(out)["result"]
+    assert result["betti"] == result["de_rham"] == [1]
+    # an empty form on an orbit with free nodes is still a length error
+    assert main(["solve", "A", "2", "--mode", "kks", "--lambda", ""]) == EXIT_CONFIG
+    assert capsys.readouterr().out == ""
 
 
 def test_text_format(capsys):
