@@ -570,7 +570,7 @@ def classify_good(
     if lam is None:
         rng = random.Random(rng_seed)
         lam = LinearForm(levi, [rng.randint(1, 99) for _ in free])
-    elif lam.levi.gamma != levi.gamma:
+    elif not _same_orbit(lam.levi, levi):
         raise ValueError("linear form belongs to a different orbit")
     lam_values = lam.values
     outcome = solve_compatible(levi, lam, K=1, sign="+", seed=1, basis=basis)
@@ -600,12 +600,17 @@ def pencil(f0: InvariantBivector, v: InvariantBivector, s, sign="+") -> Invarian
     """Member of the bracket family: (+|-) f0 + s * v."""
     eps = _parse_sign(sign)
     sc = as_scalar(s)
-    if f0.levi is not v.levi and f0.levi.gamma != v.levi.gamma:
+    if not _same_orbit(f0.levi, v.levi):
         raise ValueError("pencil members must live on the same orbit")
     return InvariantBivector(
         f0.levi,
         {q: eps * f0.coeffs[q] + sc * v.coeffs[q] for q in f0.levi.positive_quasiroots},
     )
+
+
+def _same_orbit(a: LeviDatum, b: LeviDatum) -> bool:
+    # gamma alone does not name the orbit: A3{1} and B3{1} share it
+    return (a.rs.type_label, a.rs.rank, a.gamma) == (b.rs.type_label, b.rs.rank, b.gamma)
 
 
 # -- quasiclassical certificate --------------------------------------------------------

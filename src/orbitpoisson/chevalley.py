@@ -8,9 +8,11 @@ each non-simple positive root the minimal decomposition pair gets a positive
 structure constant p+1, the four-root relation fixes the other positive pairs,
 and every remaining constant follows from the antisymmetry, negation and norm
 rules, applied when the constant is asked for.  Second, the Killing form is
-computed exactly as the trace form of the adjoint action on the Cartan
-subalgebra; by invariance K(x_mu, x_{-mu}) = K(h_mu, h_mu) / 2 for the coroot
-h_mu = [x_mu, x_{-mu}], and each negative root vector is rescaled so that
+fixed by one exact scale.  The algebra is simple, so K = s ( , ) for the root
+form ( , ), and s is read off a single trace of the adjoint action,
+s = |a_1|^2 / 4 * sum_mu <mu, a_1^vee>^2.  Then mu(t_i) = (mu, a_i) / s, and
+by invariance K(x_mu, x_{-mu}) = K(h_mu, h_mu) / 2 = 2 s / |mu|^2 for the
+coroot h_mu = [x_mu, x_{-mu}]; each negative root vector is rescaled so that
 K(E_mu, E_{-mu}) = 1.  In the rescaled basis [E_mu, E_{-mu}] = t_mu,
 the Killing-dual of mu, and the cyclic identity
 
@@ -32,7 +34,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from fractions import Fraction
 
-from .linalg import SpanSolver
 from .roots import Coords, InternalInvariantError, RootSystem, add, negate, sub
 from .scalars import GaussianRational, as_scalar
 
@@ -50,10 +51,9 @@ class ChevalleyBasis:
 
         self._norm = {r: rs.inner(r, r) for r in rs.roots}
         self._n_int = _integral_constants(rs, self._norm)
-        self._killing_h = self._killing_cartan_gram()
-        self._killing_c = self._killing_opposite_pairs()
-        self._t_mat = self._solve_t_basis()
-        self._weights = self._weight_table()
+        scale = self._killing_scale()
+        self._killing_c = self._killing_opposite_pairs(scale)
+        self._weights = self._weight_table(scale)
         self._table = self._bracket_table()
         self._theta = self._theta_table()
         self._phi_cache = None
@@ -78,15 +78,18 @@ class ChevalleyBasis:
         key = alpha if min(alpha) >= 0 else negate(alpha)
         return self._killing_c[key]
 
-    def _killing_opposite_pairs(self) -> dict[Coords, int]:
-        # by invariance K(x_a, x_{-a}) = K(h_a, h_a) / 2, where the coroot
-        # h_a = [x_a, x_{-a}] = sum_i a_i |a_i|^2 / |a|^2 h_i
-        gram = self._killing_h
-        simple_norm = [self._norm[s] for s in self.rs.simple_roots]
+    def _killing_scale(self) -> Fraction:
+        # The algebra is simple, so its invariant form is unique up to scale:
+        # K = s ( , ).  One trace fixes s: K(h_1, h_1) = sum_mu <mu, a_1^vee>^2
+        # and (h_1, h_1) = 4 / |a_1|^2 for the coroot h_1.
+        total = sum(self.rs.coroot_pairing(mu, 0) ** 2 for mu in self.rs.roots)
+        return self._norm[self.rs.simple_roots[0]] * total / 4
+
+    def _killing_opposite_pairs(self, s: Fraction) -> dict[Coords, int]:
+        # by invariance K(x_a, x_{-a}) = K(h_a, h_a) / 2 = 2 s / |a|^2
         out = {}
         for alpha in self.rs.positive_roots:
-            h = [(i, c * simple_norm[i] / self._norm[alpha]) for i, c in enumerate(alpha) if c]
-            value = sum(x * y * gram[i][j] for i, x in h for j, y in h) / 2
+            value = 2 * s / self._norm[alpha]
             if value.denominator != 1 or value <= 0:
                 raise InternalInvariantError(
                     f"Killing pairing {value} of x_{alpha} is not a positive integer"
@@ -94,42 +97,14 @@ class ChevalleyBasis:
             out[alpha] = int(value)
         return out
 
-    def _killing_cartan_gram(self) -> list[list[int]]:
-        # Tr(ad h_a ad h_b) over root spaces; the Cartan block contributes 0
+    def _weight_table(self, s: Fraction) -> dict[Coords, tuple[Fraction, ...]]:
+        # weights[mu][i] = mu(t_i) = (mu, a_i) / s = <mu, a_i^vee> |a_i|^2 / 2s
         rs = self.rs
-        n = self.rank
-        gram = [[0] * n for _ in range(n)]
-        pair = [
-            [rs.coroot_pairing(mu, a) for a in range(n)] for mu in rs.roots
-        ]
-        for row in pair:
-            for a in range(n):
-                pa = row[a]
-                if not pa:
-                    continue
-                for b in range(n):
-                    gram[a][b] += pa * row[b]
-        return gram
-
-    def _solve_t_basis(self) -> list[dict[int, Fraction]]:
-        # coordinates of t_i (Killing dual of alpha_i) in the coroot basis
-        # the Gram matrix is symmetric, so expressing row i of the Cartan
-        # matrix in its rows solves K x = cartan[i]
-        solver = SpanSolver([dict(enumerate(row)) for row in self._killing_h])
-        return [solver.express(dict(enumerate(row))) for row in self.rs.cartan]
-
-    def _weight_table(self) -> dict[Coords, tuple[Fraction, ...]]:
-        # weights[mu][i] = mu(t_i)
-        rs = self.rs
-        n = self.rank
-        out = {}
-        for mu in rs.roots:
-            pairing = [rs.coroot_pairing(mu, a) for a in range(n)]
-            out[mu] = tuple(
-                sum((c * pairing[a] for a, c in self._t_mat[i].items()), Fraction(0))
-                for i in range(n)
-            )
-        return out
+        half = [self._norm[a] / (2 * s) for a in rs.simple_roots]
+        return {
+            mu: tuple(rs.coroot_pairing(mu, i) * h for i, h in enumerate(half))
+            for mu in rs.roots
+        }
 
     # -- normalized layer ------------------------------------------------------
 

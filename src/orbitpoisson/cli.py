@@ -369,23 +369,22 @@ def _apply_config(argv: list[str]) -> list[str]:
     else:
         path, rest = argv[at].partition("=")[2], argv[:at] + argv[at + 1 :]
     cfg = _load_config(path)
-    lead = []
     if not rest or rest[0].startswith("-"):
         try:
-            lead = [cfg.pop("command"), cfg.pop("type"), cfg.pop("rank")]
+            head = [cfg.pop("command"), cfg.pop("type"), cfg.pop("rank")]
         except KeyError as exc:
             raise ConfigError(f"config file must set {exc} when not given on the command line")
+    else:
+        head, rest = rest[:1], rest[1:]
+    # the file's flags go first, so argparse keeps every explicit spelling
     flags = []
     for key, value in cfg.items():
         flag = "--" + key.replace("_", "-")
-        if any(a == flag or a.startswith(flag + "=") for a in rest):
-            continue  # explicit flags win, as --flag value or --flag=value
-        if value.lower() in ("true", "false"):
-            if value.lower() == "true":
-                flags.append(flag)
-        else:
-            flags.extend([flag, value])
-    return lead + rest + flags
+        if value.lower() == "true":
+            flags.append(flag)
+        elif value.lower() != "false":
+            flags.append(f"{flag}={value}")
+    return head + flags + rest
 
 
 def build_parser() -> argparse.ArgumentParser:

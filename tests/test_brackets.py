@@ -312,6 +312,21 @@ def test_pencil_preserves_conditions():
     assert verify_square(fi, I, tb).ok
 
 
+def test_pencil_rejects_another_algebra():
+    # A3{1} and B3{1} share gamma and the positive quasiroot labels
+    a3, b3 = get_levi("A", 3, (1,)), get_levi("B", 3, (1,))
+    f0 = kks(a3, LinearForm(a3, [1, 2]))
+    v = kks(b3, LinearForm(b3, [1, 2]))
+    with pytest.raises(ValueError):
+        pencil(f0, v, 1)
+
+
+def test_classify_good_rejects_a_form_of_another_algebra():
+    lam = LinearForm(get_levi("A", 3, (1,)), [1, 2])
+    with pytest.raises(ValueError):
+        classify_good(get_rs("B", 3), (1,), get_basis("B", 3), lam=lam)
+
+
 def test_quasiclassical_certificate_and_strict():
     levi = get_levi("A", 2)
     tb = get_basis("A", 2)

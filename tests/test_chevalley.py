@@ -7,7 +7,8 @@ from pathlib import Path
 
 from orbitpoisson.roots import add, negate
 
-from conftest import get_basis
+from conftest import get_basis, get_rs
+from test_atlas import ATLAS
 
 
 def jacobi_defect(tb, i, j, k):
@@ -111,6 +112,63 @@ def test_killing_opposite_is_the_root_string_trace():
                         negate(alpha), mu
                     ) * tb.integral_structure_constant(alpha, shifted)
             assert total == tb.killing_opposite(alpha), (row["type"], row["rank"], alpha)
+
+
+# h^vee: with long roots of squared length 2 the Killing form is 2 h^vee ( , )
+DUAL_COXETER = {
+    "A": lambda n: n + 1, "B": lambda n: 2 * n - 1, "C": lambda n: n + 1,
+    "D": lambda n: 2 * n - 2, "E": {6: 12, 7: 18, 8: 30}.get,
+    "F": lambda n: 9, "G": lambda n: 4,
+}
+
+
+def trace_gram(rs):
+    """Tr(ad h_a ad h_b) for the simple coroots; the Cartan block adds 0."""
+    pair = [[rs.coroot_pairing(mu, a) for a in range(rs.rank)] for mu in rs.roots]
+    return [[sum(row[a] * row[b] for row in pair) for b in range(rs.rank)] for a in range(rs.rank)]
+
+
+def solve_exact(matrix, rhs):
+    """x with matrix x = rhs for a positive definite matrix, by exact
+    Gauss-Jordan; positive definite, so no pivot is ever zero."""
+    n = len(rhs)
+    rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for c in range(n):
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for k in range(n):
+            if k != c and rows[k][c]:
+                f = rows[k][c]
+                rows[k] = [v - f * w for v, w in zip(rows[k], rows[c])]
+    return [row[n] for row in rows]
+
+
+def test_trace_gram_is_one_scale_of_the_root_form():
+    # the whole Cartan trace form is s ( , ) with s read off its first entry
+    assert len(ATLAS) == 31
+    for t, r in ATLAS:
+        rs = get_rs(t, r)
+        norm = [rs.inner(a, a) for a in rs.simple_roots]
+        gram = trace_gram(rs)
+        s = norm[0] / 4 * gram[0][0]
+        assert s == 2 * DUAL_COXETER[t](r), (t, r)
+        for a in range(r):
+            for b in range(r):
+                root_form = rs.inner(rs.simple_roots[a], rs.simple_roots[b])
+                assert gram[a][b] == s * 4 * root_form / (norm[a] * norm[b]), (t, r, a, b)
+
+
+def test_weights_match_the_solved_trace_gram():
+    # t_i = sum_a x_a h_a with K(t_i, h_b) = <a_i, a_b^vee>, so mu(t_i) = sum_a x_a <mu, a_a^vee>
+    recorded = json.loads((Path(__file__).parent / "chevalley_digests.json").read_text())
+    for row in recorded:
+        tb = get_basis(row["type"], row["rank"])
+        rs = tb.rs
+        gram = trace_gram(rs)  # symmetric, so solving gram x = cartan[i] is enough
+        for i in range(rs.rank):
+            x = solve_exact(gram, rs.cartan[i])
+            for mu in rs.roots:
+                expected = sum(c * rs.coroot_pairing(mu, a) for a, c in enumerate(x))
+                assert tb.weight(mu, i) == expected, (row["type"], row["rank"], mu, i)
 
 
 def test_a2_extraspecial_sign_and_cyclic():

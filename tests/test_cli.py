@@ -135,10 +135,16 @@ def test_config_file(tmp_path, capsys):
     assert code3 == EXIT_OK and out3 == out
     # an explicit flag wins over the file, in the --flag value and --flag=value forms
     (tmp_path / "lam.cfg").write_text("lambda = 3,4\n")
-    for explicit in (["--lambda", "1,2"], ["--lambda=1,2"]):
+    # and in the abbreviated form argparse accepts as a prefix
+    for explicit in (["--lambda", "1,2"], ["--lambda=1,2"], ["--lam", "1,2"]):
         argv = ["solve", "A", "2", "--mode", "kks", *explicit, "--config", str(tmp_path / "lam.cfg")]
         code5, out5 = run_cli(capsys, *argv)
         assert code5 == EXIT_OK and out5 == out2, explicit
+    # a file value that starts with "-" parses as it does in --lambda=-1,2
+    (tmp_path / "neg.cfg").write_text("lambda = -1,2\n")
+    code6, out6 = run_cli(capsys, "solve", "A", "2", "--mode", "kks", "--config", str(tmp_path / "neg.cfg"))
+    code7, out7 = run_cli(capsys, "solve", "A", "2", "--mode", "kks", "--lambda=-1,2")
+    assert code6 == code7 == EXIT_OK and out6 == out7
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"\xff\xfe\x00")
     code4 = main(["--config", str(binary)])

@@ -22,6 +22,8 @@ tracer = Tracer()
 tracer.install(orbitpoisson)
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["cohomology", "A", "2", "--mode", "kks", "--lambda", "1,2"])
+# the cohomology path expresses no vectors; one direct call proves the express wrapper
+orbitpoisson.linalg.SpanSolver([{0: 1}]).express({0: 2})
 print(json.dumps({"code": code, "spans": sorted({s[0] for s in tracer.spans}),
                   "counts": tracer.counts}))
 """
