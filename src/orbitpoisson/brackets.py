@@ -98,7 +98,7 @@ class InvariantBivector:
     def __eq__(self, other):
         if not isinstance(other, InvariantBivector):
             return NotImplemented
-        return self.levi is other.levi and self.coeffs == other.coeffs
+        return _same_orbit(self.levi, other.levi) and self.coeffs == other.coeffs
 
     def __repr__(self):
         entries = ", ".join(f"{q}:{c}" for q, c in sorted(self.coeffs.items()))

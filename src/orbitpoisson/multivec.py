@@ -157,46 +157,51 @@ def schouten(basis: ChevalleyBasis, u: Multivector, v: Multivector,
 
     With a Levi datum only the terms on the orbit tangent space are formed:
     the result is ``project_to_m`` of the full bracket, in the same term
-    order, without building the stabilizer terms."""
+    order, without building the stabilizer terms. Factors are grouped by
+    basis index, so each bracket [X_i, Y_j] is looked up once per index pair."""
     if u.degree == 0 or v.degree == 0:
         return Multivector.zero(max(u.degree + v.degree - 1, 0))
     banned = frozenset() if levi is None else gamma_indices(basis, levi)
     out = Multivector.zero(u.degree + v.degree - 1)
-    u_terms = [(ca, s) for ka, ca in u.terms.items() if (s := _splits(ka, banned))]
-    v_terms = [(cb, s) for kb, cb in v.terms.items() if (s := _splits(kb, banned))]
-    for ca, splits_a in u_terms:
-        for cb, splits_b in v_terms:
-            cab = ca * cb
-            for i, xi, rest_a in splits_a:
-                for j, yj, rest_b in splits_b:
-                    br = basis.bracket_index(xi, yj)
-                    if not br:
-                        continue
+    groups_b = _grouped_splits(v, banned)
+    for x, splits_a in _grouped_splits(u, banned):
+        for y, splits_b in groups_b:
+            br = basis.bracket_index(x, y)
+            if not br:
+                continue
+            br = [(z, as_scalar(f)) for z, f in br if z not in banned]  # coerced once
+            if not br:
+                continue
+            for sa, ca, rest_a in splits_a:
+                for sb, cb, rest_b in splits_b:
                     merged = _merge_sorted(rest_a, rest_b)
                     if merged is None:
                         continue
                     msign, rest = merged
-                    base = cab * (msign if (i + j) % 2 == 0 else -msign)
+                    sign, cab = sa * sb * msign, ca * cb
                     for z, f in br:
-                        if z in banned:
-                            continue
                         ins = _insert_front(z, rest)
                         if ins is None:
                             continue
                         isign, key = ins
-                        out._accumulate(key, base * (f * isign))
+                        t = cab * f
+                        out._accumulate(key, t if isign == sign else -t)
     return out
 
 
-def _splits(key: Key, banned: frozenset[int]) -> list[tuple[int, int, Key]]:
-    """(position, factor, rest of the key) for every factor whose removal
-    leaves no banned index."""
-    out = []
-    for p, x in enumerate(key):
-        rest = key[:p] + key[p + 1 :]
-        if banned.isdisjoint(rest):
-            out.append((p, x, rest))
-    return out
+def _grouped_splits(w: Multivector, banned: frozenset[int]) -> list[tuple[int, list]]:
+    """Every factor of every term of w whose removal leaves no banned index,
+    grouped by factor in increasing order: (factor, [((-1)^position,
+    coefficient, rest of the key), ...]) with terms in the order of w. The
+    group order does not depend on ``banned``, which keeps a projected
+    bracket in the term order of the full one."""
+    groups: dict[int, list] = {}
+    for key, c in w.terms.items():
+        for p, x in enumerate(key):
+            rest = key[:p] + key[p + 1 :]
+            if banned.isdisjoint(rest):
+                groups.setdefault(x, []).append((-1 if p & 1 else 1, c, rest))
+    return sorted(groups.items())
 
 
 def ad_action(basis: ChevalleyBasis, x: Element, u: Multivector) -> Multivector:

@@ -7,6 +7,7 @@ from orbitpoisson import (
     InvariantBivector,
     LinearForm,
     bivector_matrix_rank,
+    build_levi,
     classify_good,
     find_inconsistency_witness,
     kks,
@@ -40,6 +41,23 @@ def test_invariant_bivector_keys_checked():
     levi = get_levi("A", 2)
     with pytest.raises(ValueError):
         InvariantBivector(levi, {(2, 0): 1})
+
+
+def test_invariant_bivector_equality_compares_orbits_not_objects():
+    # two distinct but equal Levi data
+    lam = [1, 2]
+    a = build_levi(get_rs("A", 2), ())
+    b = build_levi(get_rs("A", 2), ())
+    assert a is not b
+    assert kks(a, LinearForm(a, lam)) == kks(b, LinearForm(b, lam))
+    # same gamma, different algebras
+    a3, b3 = get_levi("A", 3, (1,)), get_levi("B", 3, (1,))
+    assert kks(a3, LinearForm(a3, lam)) != kks(b3, LinearForm(b3, lam))
+    # same gamma and quasiroot labels, equal coefficients: only the type differs
+    a4, d4 = get_levi("A", 4, (1, 2)), get_levi("D", 4, (1, 2))
+    assert a4.positive_quasiroots == d4.positive_quasiroots
+    coeffs = {q: 1 for q in a4.positive_quasiroots}
+    assert InvariantBivector(a4, coeffs) != InvariantBivector(d4, coeffs)
 
 
 def test_realize_zero_and_r_matrix():
@@ -313,7 +331,7 @@ def test_pencil_preserves_conditions():
 
 
 def test_pencil_rejects_another_algebra():
-    # A3{1} and B3{1} share gamma and the positive quasiroot labels
+    # A3{1} and B3{1} share gamma, and B3{1} has every quasiroot label of A3{1}
     a3, b3 = get_levi("A", 3, (1,)), get_levi("B", 3, (1,))
     f0 = kks(a3, LinearForm(a3, [1, 2]))
     v = kks(b3, LinearForm(b3, [1, 2]))

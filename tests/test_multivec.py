@@ -13,6 +13,7 @@ from orbitpoisson import (
     theta_apply,
     wedge,
 )
+from orbitpoisson.multivec import _insert_front, _merge_sorted
 from orbitpoisson.roots import add, negate
 from orbitpoisson.scalars import as_scalar
 
@@ -223,6 +224,10 @@ def test_projected_schouten_is_projection_of_full():
 
         operands = [r_matrix(tb), phi(tb), r_matrix(tb, levi)]
         operands += [tangent_multivector(d) for d in (2, 2, 3, 3)]
+        # splitting t1 off (0, t1) leaves the stabilizer index 0, so t1 is
+        # met before t0 without a Levi datum and after it with one
+        t0, t1 = tangent[0], tangent[-1]
+        operands.append(Multivector(2, {(0, t1): as_scalar(1), (t0, t1): as_scalar(2)}))
         operands += [random_multivector(tb, d, rng) for d in (1, 2, 3)]
         for u in operands:
             for v in operands:
@@ -232,6 +237,60 @@ def test_projected_schouten_is_projection_of_full():
                 reference = project_to_m(schouten(tb, u, v), tb, levi)
                 assert projected == reference
                 assert list(projected.terms) == list(reference.terms)
+
+
+def _schouten_reference(tb, u, v, levi=None):
+    """The classical double sum: every term pair, every factor pair,
+    (-1)^(i+j) [X_i, Y_j] ^ X_(i-hat) ^ Y_(j-hat), with one bracket lookup
+    per factor pair. With a Levi datum, factor pairs whose rests hold a
+    stabilizer index and bracket outputs in the stabilizer are skipped."""
+    banned = frozenset() if levi is None else gamma_indices(tb, levi)
+    out = Multivector.zero(max(u.degree + v.degree - 1, 0))
+    if u.degree == 0 or v.degree == 0:
+        return out
+    for ka, ca in u.terms.items():
+        for kb, cb in v.terms.items():
+            for i, xi in enumerate(ka):
+                rest_a = ka[:i] + ka[i + 1 :]
+                for j, yj in enumerate(kb):
+                    rest_b = kb[:j] + kb[j + 1 :]
+                    if not banned.isdisjoint(rest_a + rest_b):
+                        continue
+                    merged = _merge_sorted(rest_a, rest_b)
+                    if merged is None:
+                        continue
+                    msign, rest = merged
+                    for z, f in tb.bracket_index(xi, yj):
+                        if z in banned:
+                            continue
+                        ins = _insert_front(z, rest)
+                        if ins is None:
+                            continue
+                        isign, key = ins
+                        out._accumulate(key, ca * cb * ((-1) ** (i + j) * msign * isign * f))
+    return out
+
+
+def test_schouten_matches_reference_double_sum():
+    # random operands over the whole algebra, stabilizer factors included,
+    # with Gaussian coefficients
+    rng = random.Random(23)
+    gauss = as_scalar("1/2+i")
+    for t, r, gamma in [("A", 3, (1,)), ("B", 3, (2,)), ("D", 4, (1, 3, 4)), ("G", 2, ())]:
+        tb = get_basis(t, r)
+        levi = get_levi(t, r, gamma)
+        operands = [r_matrix(tb), r_matrix(tb, levi), phi(tb)]
+        for d in (1, 2, 3, 4):
+            w = random_multivector(tb, d, rng)
+            operands.append(w + random_multivector(tb, d, rng, nterms=2).scale(gauss))
+        for u in operands:
+            for v in operands:
+                if u.degree + v.degree > 5:
+                    continue
+                for lv in (None, levi):
+                    got = schouten(tb, u, v, lv)
+                    assert got.degree == u.degree + v.degree - 1
+                    assert dict(got.terms) == dict(_schouten_reference(tb, u, v, lv).terms)
 
 
 def test_phi_invariance():
