@@ -13,7 +13,7 @@ proofs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .chevalley import ChevalleyBasis
 from .levi import (
@@ -163,7 +163,6 @@ class SolverOutcome:
     solution: InvariantBivector | None = None
     witness: Witness | None = None
     reason: str = ""
-    metadata: dict = field(default_factory=dict)
     verification: dict | None = None
 
     def __post_init__(self):
@@ -211,13 +210,11 @@ def solve_recursion(levi: LeviDatum, seeds, K) -> SolverOutcome:
         raise ValueError(
             f"expected {len(levi.simple_quasiroots)} seeds, got {len(seed_vals)}"
         )
-    meta = {"K": K, "seeds": tuple(seed_vals)}
     for q, s in zip(levi.simple_quasiroots, seed_vals):
         if not s:
             return SolverOutcome(
                 witness=Witness(q, "zero-seed", (q,)),
                 reason="seed coefficient vanishes",
-                metadata=meta,
             )
     coeffs = {}
     for q in levi.positive_quasiroots:
@@ -226,10 +223,9 @@ def solve_recursion(levi: LeviDatum, seeds, K) -> SolverOutcome:
             return SolverOutcome(
                 witness=Witness(q, "vanishing-denominator", (q,)),
                 reason="closed-form denominator vanishes",
-                metadata=meta,
             )
         coeffs[q] = value
-    return SolverOutcome(solution=InvariantBivector(levi, coeffs), metadata=meta)
+    return SolverOutcome(solution=InvariantBivector(levi, coeffs))
 
 
 def recursion_pairwise_values(levi: LeviDatum, seeds, K) -> dict[Quasiroot, set]:
@@ -448,7 +444,6 @@ def solve_compatible(
         raise ValueError("K must be nonzero; use the KKS construction for K=0")
     eps = _parse_sign(sign)
     seed = as_scalar(seed)
-    meta = {"K": K, "sign": eps, "seed": seed, "lambda": lam.values}
 
     verdict = levi.type_verdict
     if not verdict.is_type_a:
@@ -461,7 +456,6 @@ def solve_compatible(
         return SolverOutcome(
             witness=witness,
             reason="quasiroot system is not an A_k chain",
-            metadata=meta,
         )
 
     chain = verdict.chain
@@ -494,7 +488,7 @@ def solve_compatible(
         raise InternalInvariantError(
             f"compatible-pair solution failed verification: {verification}"
         )
-    return SolverOutcome(solution=solution, metadata=meta, verification=verification)
+    return SolverOutcome(solution=solution, verification=verification)
 
 
 def _check_sign_rigidity(levi, intervals, u, lam, K, eps) -> bool:

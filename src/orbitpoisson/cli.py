@@ -219,7 +219,6 @@ def _solve_outcome(args, basis, levi) -> tuple[SolverOutcome, dict]:
         cp = verify_compatible(solution, lam, basis)
         outcome = SolverOutcome(
             solution=solution,
-            metadata={"K": parse_scalar("0"), "lambda": lam.values},
             verification={"square": sq, "compatible": cp},
         )
         if not (sq.ok and cp.ok):

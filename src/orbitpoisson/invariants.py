@@ -8,6 +8,11 @@ raising operators of the simple Levi roots generates a trivial summand, hence
 is invariant; the lowering operators are applied afterwards as a hard
 assertion.  All kernels are computed exactly over the rationals.
 
+One index-level Levi action, _levi_rows, builds the operator rows of every
+such kernel.  Its placement rule says where a bracket output goes: for wedge
+monomials it is sorted in with the sign (-1)^slot of _insert_front, for the
+tensor triples of tensor_multiplicity it replaces the factor in its slot.
+
 The weight-zero monomial space splits under the class signature (the multiset
 of quasiroots of the wedge factors), which the Levi operators preserve; the
 kernel computation runs block by block.
@@ -72,33 +77,39 @@ def _signature(levi: LeviDatum, basis: ChevalleyBasis, monomial) -> tuple:
     )
 
 
-def _raising_rows(levi, basis, monomials):
-    """Rows of the stacked raising operators (one per simple Levi root) over
-    the given monomial columns."""
-    col = {m: j for j, m in enumerate(monomials)}
+def _levi_rows(basis: ChevalleyBasis, generators, columns, place) -> dict:
+    """Stacked rows {(generator, image): {column: coefficient}} of the Levi
+    root vectors (basis indices) acting as derivations on index-tuple columns.
+    ``place(t, slot, target)`` puts a bracket output into slot ``slot`` of ``t``
+    as ``(sign, image)``, or gives None when the image vanishes.  A Levi root
+    plus a tangent root is never 0, so no Cartan images occur."""
     rows: dict[tuple, dict[int, Fraction]] = {}
-    for g in sorted(levi.gamma):
-        gamma_idx = basis.index_of_root[levi.rs.simple_roots[g - 1]]
-        for m, j in col.items():
-            for image, coeff in _ad_root_monomial(basis, gamma_idx, m):
-                row = rows.setdefault((g, image), {})
-                row[j] = row.get(j, Fraction(0)) + coeff
-    return [
-        {j: v for j, v in row.items() if v} for row in rows.values()
-    ]
+    for x in generators:
+        for j, t in enumerate(columns):
+            for slot, idx in enumerate(t):
+                for target, coeff in basis.bracket_index(x, idx):
+                    placed = place(t, slot, target)
+                    if placed is None:
+                        continue
+                    sign, image = placed
+                    row = rows.setdefault((x, image), {})
+                    row[j] = row.get(j, 0) + (coeff if sign > 0 else -coeff)
+    return rows
 
 
-def _ad_root_monomial(basis: ChevalleyBasis, gamma_idx: int, monomial):
-    """Action of ad(E_gamma), gamma a Levi root given by its basis index, on a
-    wedge monomial of tangent root vectors, as (image monomial, coefficient)
-    pairs; gamma + mu is never 0, so images stay inside the tangent space."""
-    for p, idx in enumerate(monomial):
-        for t_idx, coeff in basis.bracket_index(gamma_idx, idx):
-            ins = _insert_front(t_idx, monomial[:p] + monomial[p + 1 :])
-            if ins is None:
-                continue
-            isign, image = ins
-            yield image, coeff * (-isign if p & 1 else isign)
+def _wedge_place(t, slot, target):
+    """Wedge monomials: ``target`` replaces factor ``slot``; moving it to the
+    front passes ``slot`` factors, then ``_insert_front`` sorts it in."""
+    ins = _insert_front(target, t[:slot] + t[slot + 1 :])
+    if ins is None:
+        return None
+    sign, image = ins
+    return (-sign if slot & 1 else sign), image
+
+
+def _tensor_place(t, slot, target):
+    """Tensor tuples: ``target`` replaces the factor in place."""
+    return 1, t[:slot] + (target,) + t[slot + 1 :]
 
 
 def invariant_basis(
@@ -119,18 +130,20 @@ def invariant_basis(
     blocks: dict[tuple, list[tuple[int, ...]]] = {}
     for m in monos:
         blocks.setdefault(_signature(levi, basis, m), []).append(m)
+    simple = levi.rs.simple_roots
+    raising = [basis.index_of_root[simple[g - 1]] for g in sorted(levi.gamma)]
     vectors: list[Multivector] = []
     for sig in sorted(blocks):
         block = blocks[sig]
-        rows = _raising_rows(levi, basis, block)
-        for kern in kernel_basis(rows, len(block)):
+        rows = _levi_rows(basis, raising, block, _wedge_place)
+        for kern in kernel_basis(rows.values(), len(block)):
             mv = Multivector(
                 k, {block[j]: as_scalar(c) for j, c in kern.items()}
             )
             vectors.append(mv)
     for mv in vectors:
         for g in sorted(levi.gamma):
-            lower = basis.root_vector(negate(levi.rs.simple_roots[g - 1]))
+            lower = basis.root_vector(negate(simple[g - 1]))
             if not ad_action(basis, lower, mv).is_zero():
                 raise InternalInvariantError(
                     "raising-kernel vector not killed by a lowering operator"
@@ -358,17 +371,7 @@ def tensor_multiplicity(
     ]
     if not triples:
         return 0
-    col = {t: j for j, t in enumerate(triples)}
-    rows: dict[tuple, dict[int, Fraction]] = {}
-    for g in sorted(levi.gamma):
-        simple = levi.rs.simple_roots[g - 1]
-        # a Levi root plus a class root is never 0: no Cartan images
-        for x in (idx[simple], idx[negate(simple)]):
-            for t, j in col.items():
-                for slot in range(3):
-                    for target, coeff in basis.bracket_index(x, t[slot]):
-                        image = t[:slot] + (target,) + t[slot + 1 :]
-                        row = rows.setdefault((x, image), {})
-                        row[j] = row.get(j, Fraction(0)) + coeff
-    kern = kernel_basis(list(rows.values()), len(triples))
-    return len(kern)
+    simples = [levi.rs.simple_roots[g - 1] for g in sorted(levi.gamma)]
+    generators = [idx[r] for s in simples for r in (s, negate(s))]
+    rows = _levi_rows(basis, generators, triples, _tensor_place)
+    return len(kernel_basis(rows.values(), len(triples)))

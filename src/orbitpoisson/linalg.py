@@ -3,28 +3,24 @@
 Rows are sparse maps column -> coefficient; columns may be ints or tuples
 (one kind per matrix).  Pivot sets are kept fully reduced: every pivot column
 is eliminated from every other pivot row, so reducing a row is a single pass
-and kernel extraction reads coefficients straight off the pivot rows.
+and kernel extraction reads coefficients straight off the pivot rows.  A new
+row is reduced against the existing pivots before it is added, so only its
+own pivot column can appear elsewhere; adding it scans the existing pivot
+rows once and clears that column from each.  No reverse column index is kept.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GaussianRational
-
-
-def _reciprocal(x):
-    if isinstance(x, GaussianRational):
-        return x.reciprocal()
-    return Fraction(1) / x
-
 
 class Echelon:
     """Incremental fully-reduced echelon form of a set of sparse rows."""
 
-    def __init__(self):
+    def __init__(self, rows=()):
         self.pivot_rows: dict = {}  # pivot column -> row dict with leading 1
-        self._uses: dict = {}  # column -> set of pivot columns whose row hits it
+        for row in rows:
+            self.add(row)
 
     @property
     def rank(self) -> int:
@@ -34,18 +30,8 @@ class Echelon:
         """Reduce a row against the pivots (new dict; single pass suffices
         because pivot rows contain no other pivot columns)."""
         r = {c: v for c, v in row.items() if v}
-        for c in [c for c in list(r) if c in self.pivot_rows]:
-            f = r.pop(c, None)
-            if not f:
-                continue
-            for cc, vv in self.pivot_rows[c].items():
-                if cc == c:
-                    continue
-                nv = r.get(cc, 0) - f * vv
-                if nv:
-                    r[cc] = nv
-                else:
-                    r.pop(cc, None)
+        for c in [c for c in r if c in self.pivot_rows]:
+            _subtract(r, r[c], self.pivot_rows[c])
         return r
 
     def add(self, row: dict):
@@ -56,48 +42,34 @@ class Echelon:
         if not r:
             return None
         c = min(r)
-        inv = _reciprocal(r[c])
+        # not 1 / r[c]: on an int that is a float
+        inv = Fraction(1) / r[c]
         r = {cc: vv * inv for cc, vv in r.items()}
-        self._eliminate_column(c, r)
+        for prow in self.pivot_rows.values():
+            if c in prow:
+                _subtract(prow, prow[c], r)
         self.pivot_rows[c] = r
-        for cc in r:
-            if cc != c:
-                self._uses.setdefault(cc, set()).add(c)
         return c
 
-    def _eliminate_column(self, c, unit_row: dict) -> None:
-        for p in list(self._uses.get(c, ())):
-            prow = self.pivot_rows[p]
-            f = prow.get(c)
-            if not f:
-                continue
-            for cc, vv in unit_row.items():
-                nv = prow.get(cc, 0) - f * vv
-                if nv:
-                    prow[cc] = nv
-                    if cc != p:
-                        self._uses.setdefault(cc, set()).add(p)
-                else:
-                    prow.pop(cc, None)
-                    if cc in self._uses:
-                        self._uses[cc].discard(p)
-        self._uses.pop(c, None)
+
+def _subtract(target: dict, f, row: dict) -> None:
+    """target -= f * row in place, dropping the entries that cancel."""
+    for c, v in row.items():
+        nv = target.get(c, 0) - f * v
+        if nv:
+            target[c] = nv
+        else:
+            target.pop(c, None)
 
 
 def rank_of(rows) -> int:
-    ech = Echelon()
-    for row in rows:
-        ech.add(row)
-    return ech.rank
+    return Echelon(rows).rank
 
 
 def kernel_basis(rows, ncols: int) -> list[dict]:
     """Basis of the right kernel of the matrix with the given sparse rows over
     integer columns 0..ncols-1."""
-    ech = Echelon()
-    for row in rows:
-        ech.add(row)
-    pivots = ech.pivot_rows
+    pivots = Echelon(rows).pivot_rows
     out = []
     for free in range(ncols):
         if free in pivots:

@@ -1,3 +1,5 @@
+import copy
+import random
 from fractions import Fraction
 
 import pytest
@@ -46,3 +48,64 @@ def test_gaussian_entries():
     assert solver.express(target) == {0: 2 + I, 1: I}
     assert solver.contains(target)
     assert not solver.contains({0: Fraction(1, 2), 2: I})
+
+
+def _reference_pivots(rows, ncols):
+    """Pivot columns of plain dense elimination, smallest column first."""
+    dense = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(dense)) if dense[i][c]), None)
+        if p is None:
+            continue
+        dense[r], dense[p] = dense[p], dense[r]
+        for i in range(r + 1, len(dense)):
+            f = dense[i][c] / dense[r][c]
+            dense[i] = [a - f * b for a, b in zip(dense[i], dense[r])]
+        pivots.append(c)
+    return pivots
+
+
+def _random_rows(rng, nrows, ncols, gaussian):
+    def entry():
+        re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return GaussianRational(re, rng.randint(-2, 2)) if gaussian else re
+
+    rows = []
+    for _ in range(nrows):
+        if len(rows) > 1 and rng.random() < 0.4:  # dependent: a + f b
+            a, b = rng.sample(rows, 2)
+            f = entry()
+            row = {c: a.get(c, 0) + f * b.get(c, 0) for c in a.keys() | b.keys()}
+        else:
+            row = {c: entry() for c in rng.sample(range(ncols), rng.randint(0, min(4, ncols)))}
+        rows.append({c: v for c, v in row.items() if v})
+    return rows
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["Q", "Q(i)"])
+def test_elimination_matches_dense_reference(gaussian):
+    rng = random.Random(20261018)
+    for _ in range(40):
+        ncols = rng.randint(1, 9)
+        rows = _random_rows(rng, rng.randint(0, 10), ncols, gaussian)
+        before = copy.deepcopy(rows)
+        pivots = _reference_pivots(rows, ncols)
+        assert rank_of(rows) == len(pivots)
+        kernel = kernel_basis(rows, ncols)
+        assert rows == before
+        free = [c for c in range(ncols) if c not in pivots]
+        assert len(kernel) == ncols - len(pivots)
+        for vec, col in zip(kernel, free):
+            assert {c: vec.get(c, 0) for c in free} == {c: int(c == col) for c in free}
+            for row in rows:
+                assert sum((v * vec.get(c, 0) for c, v in row.items()), Fraction(0)) == 0
+
+
+def test_integer_rows_give_fraction_kernels():
+    rows = [{0: 3, 1: 1}]
+    kernel = kernel_basis(rows, 2)
+    assert kernel == [{0: Fraction(-1, 3), 1: 1}]
+    assert all(type(v) is Fraction for v in kernel[0].values())
+    assert rows == [{0: 3, 1: 1}]
