@@ -197,6 +197,8 @@ def cmd_classify(args) -> tuple[dict, int]:
         if args.lam is not None:
             raise ConfigError("--lambda cannot be combined with --all-gamma: "
                               "its length rank - |Gamma| differs between orbits")
+        if levi.gamma:
+            raise ConfigError("--gamma cannot be combined with --all-gamma")
         sweep = []
         indices = list(range(1, args.rank + 1))
         for size in range(args.rank + 1):

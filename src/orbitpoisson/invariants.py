@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 
 from .brackets import InternalInvariantError, InvariantBivector, realize
@@ -37,37 +38,34 @@ def weight_zero_monomials(
     levi: LeviDatum, basis: ChevalleyBasis, k: int
 ) -> list[tuple[int, ...]]:
     """Strictly increasing k-tuples of tangent-root basis indices whose roots
-    sum to zero."""
+    sum to zero, in ascending order.
+
+    The tangent roots are m+ and -m+, so a weight-zero set S is exactly
+    P + (-Q), where P is S's part in m+, Q is a subset of m+ and the weights
+    agree: w(P) = w(Q).  For each split of k, the subsets of the smaller size
+    are grouped by weight; those of the larger size are streamed and paired
+    with the group of their weight, both ways round."""
     if k < 0 or k > levi.dim_m():
         return []
-    if k == 0:
-        return [()]
-    idx_roots = sorted(
-        (basis.index_of_root[r], r) for r in levi.m_roots
-    )
-    n = len(idx_roots)
-    rank = levi.rs.rank
-    maxabs = [max(abs(r[j]) for _, r in idx_roots) for j in range(rank)]
+    index = basis.index_of_root
+
+    def weight(roots):
+        return tuple(map(sum, zip(*roots)))
+
+    def monomial(p, q):
+        return tuple(sorted([index[r] for r in p] + [index[negate(r)] for r in q]))
+
     out: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def descend(start: int, remaining: int, partial: tuple[int, ...]):
-        if remaining == 0:
-            if not any(partial):
-                out.append(tuple(chosen))
-            return
-        if n - start < remaining:
-            return
-        for j in range(rank):
-            if abs(partial[j]) > remaining * maxabs[j]:
-                return
-        for pos in range(start, n - remaining + 1):
-            idx, root = idx_roots[pos]
-            chosen.append(idx)
-            descend(pos + 1, remaining - 1, add(partial, root))
-            chosen.pop()
-
-    descend(0, k, (0,) * rank)
+    for size in range(k - k // 2, k + 1):
+        groups: dict[tuple, list] = {}
+        for q in combinations(levi.m_positive, k - size):
+            groups.setdefault(weight(q), []).append(q)
+        for p in combinations(levi.m_positive, size):
+            for q in groups.get(weight(p), ()):
+                out.append(monomial(p, q))
+                if 2 * size != k:
+                    out.append(monomial(q, p))
+    out.sort()
     return out
 
 
@@ -125,8 +123,6 @@ def invariant_basis(
     monos = weight_zero_monomials(levi, basis, k)
     if not monos:
         return []
-    if k == 0:
-        return [Multivector(0, {(): as_scalar(1)})]
     blocks: dict[tuple, list[tuple[int, ...]]] = {}
     for m in monos:
         blocks.setdefault(_signature(levi, basis, m), []).append(m)

@@ -106,6 +106,7 @@ def test_bad_inputs_exit_config(capsys):
         ["solve", "A", "2", "--mode", "compatible", "--lambda", "1,1", "--K", "1",
          "--seed-c", "x"],
         ["classify", "B", "2", "--all-gamma", "--lambda", "1,1"],
+        ["classify", "A", "2", "--gamma", "1", "--all-gamma"],
         ["classify", "B", "2", "--lambda", "1,x"],
         ["--config=", "solve", "A", "2", "--mode", "kks"],
         ["solve", "A", "2", "--mode", "kks", "--lambda", "1/0,1"],

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from orbitpoisson import (
@@ -39,6 +41,32 @@ def test_weight_zero_enumeration_small():
     # complements of weight-zero sets are weight-zero
     assert len(weight_zero_monomials(levi, tb, 4)) == 3
     assert len(weight_zero_monomials(levi, tb, 6)) == 1
+
+
+# dim m <= 16, so the brute force walks at most 2^16 tuples per orbit
+ENUMERATION_ORBITS = [
+    ("G", 2, ()), ("A", 3, ()), ("B", 3, (1,)), ("C", 3, (1,)), ("D", 4, (1, 2, 3)),
+    ("A", 4, (1, 4)),
+]
+
+
+@pytest.mark.parametrize(
+    "orbit", ENUMERATION_ORBITS, ids=lambda o: f"{o[0]}{o[1]}{list(o[2])}"
+)
+def test_weight_zero_monomials_match_brute_force(orbit):
+    # list equality, so the ascending order is pinned as well as the set
+    t, r, gamma = orbit
+    levi = get_levi(t, r, gamma)
+    tb = get_basis(t, r)
+    root_of = {tb.index_of_root[root]: root for root in levi.m_roots}
+    tangent = sorted(root_of)
+    for k in range(-1, levi.dim_m() + 2):
+        expected = [] if k < 0 else [
+            m for m in combinations(tangent, k)
+            if not any(map(sum, zip(*(root_of[i] for i in m))))
+        ]
+        assert weight_zero_monomials(levi, tb, k) == expected, k
+    assert invariant_basis(levi, tb, 0) == [Multivector(0, {(): GaussianRational(1)})]
 
 
 def test_invariant_dimensions_a2():
