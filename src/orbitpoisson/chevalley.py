@@ -22,7 +22,8 @@ holds with equal (unweighted) values.
 
 The normalized constants live once, in the index-keyed bracket table: each
 entry is rescaled from the integral constant as the table is built, and both
-bracket_index and structure_constant read it.
+bracket_index and structure_constant read it.  bracket_denominator, the lcm
+of the table's denominators, turns every coefficient into an integer.
 
 Basis layout: indices 0..rank-1 are the Cartan elements t_1..t_rank (duals of
 the simple roots), index rank+k is E_mu for the k-th root in the global
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
+from math import lcm
 
 from .roots import Coords, InternalInvariantError, RootSystem, add, negate, sub
 from .scalars import GaussianRational, as_scalar
@@ -55,6 +57,10 @@ class ChevalleyBasis:
         self._killing_c = self._killing_opposite_pairs(scale)
         self._weights = self._weight_table(scale)
         self._table = self._bracket_table()
+        #: lcm of the denominators of every bracket_index coefficient
+        self.bracket_denominator = lcm(
+            *(c.denominator for entries in self._table.values() for _, c in entries)
+        )
         self._theta = self._theta_table()
         self._phi_cache = None
 

@@ -44,7 +44,8 @@ def weight_zero_monomials(
     P + (-Q), where P is S's part in m+, Q is a subset of m+ and the weights
     agree: w(P) = w(Q).  For each split of k, the subsets of the smaller size
     are grouped by weight; those of the larger size are streamed and paired
-    with the group of their weight, both ways round."""
+    with the group of their weight, both ways round.  No nonempty set of
+    positive roots sums to zero, so for k > 0 the smaller size starts at 1."""
     if k < 0 or k > levi.dim_m():
         return []
     index = basis.index_of_root
@@ -56,7 +57,7 @@ def weight_zero_monomials(
         return tuple(sorted([index[r] for r in p] + [index[negate(r)] for r in q]))
 
     out: list[tuple[int, ...]] = []
-    for size in range(k - k // 2, k + 1):
+    for size in range(k - k // 2, max(k, 1)):
         groups: dict[tuple, list] = {}
         for q in combinations(levi.m_positive, k - size):
             groups.setdefault(weight(q), []).append(q)

@@ -8,18 +8,23 @@ bracket follows the classical convention
         sum_{i,j} (-1)^{i+j} [X_i, Y_j] ^ X_(i-hat) ^ Y_(j-hat),
 
 which restricts to the Lie bracket in degree one and is symmetric on a pair
-of bivectors.
+of bivectors.  The kernel accumulates Gaussian-integer numerators over one
+common denominator per call, the product of the two operands' denominators
+and the basis's bracket denominator; its results are still Gaussian
+rationals, one per output term.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .chevalley import ChevalleyBasis, Element
 from .levi import LeviDatum
 from .roots import negate
-from .scalars import GaussianRational, as_scalar
+from .scalars import _F0, GaussianRational, _gq, as_scalar
 
 Key = tuple[int, ...]
 
@@ -112,6 +117,14 @@ class Multivector:
 
 def _merge_sorted(a: Key, b: Key) -> tuple[int, Key] | None:
     """Merge two strictly increasing tuples, returning (sign, merged)."""
+    if len(a) == 1:
+        return _insert_front(a[0], b)
+    if len(b) == 1:
+        ins = _insert_front(b[0], a)
+        # a ^ z = (-1)^len(a) z ^ a
+        if ins is None or not len(a) & 1:
+            return ins
+        return -ins[0], ins[1]
     i = j = 0
     inversions = 0
     out = []
@@ -158,50 +171,80 @@ def schouten(basis: ChevalleyBasis, u: Multivector, v: Multivector,
     With a Levi datum only the terms on the orbit tangent space are formed:
     the result is ``project_to_m`` of the full bracket, in the same term
     order, without building the stabilizer terms. Factors are grouped by
-    basis index, so each bracket [X_i, Y_j] is looked up once per index pair."""
+    basis index, so each bracket [X_i, Y_j] is looked up once per index pair.
+
+    The sums run on Gaussian-integer numerators, (re, im) int pairs over the
+    one denominator D_u * D_v * bracket_denominator; a key whose sum reaches
+    zero is dropped at once, as in ``_accumulate``, so a later term puts it
+    back at the end. Each surviving sum becomes one Gaussian rational."""
     if u.degree == 0 or v.degree == 0:
         return Multivector.zero(max(u.degree + v.degree - 1, 0))
     banned = frozenset() if levi is None else gamma_indices(basis, levi)
-    out = Multivector.zero(u.degree + v.degree - 1)
-    groups_b = _grouped_splits(v, banned)
-    for x, splits_a in _grouped_splits(u, banned):
+    scale = basis.bracket_denominator
+    den_a, groups_a = _grouped_splits(u, banned)
+    den_b, groups_b = _grouped_splits(v, banned)
+    sums: dict = {}  # key -> (re, im), then the Gaussian rational
+    for x, splits_a in groups_a:
         for y, splits_b in groups_b:
-            br = basis.bracket_index(x, y)
+            # the table is read in increasing index order; [X_y, X_x] = -[X_x, X_y]
+            br = basis.bracket_index(x, y) if x < y else basis.bracket_index(y, x)
+            flip = -1 if x > y else 1
+            br = [
+                (z, flip * f.numerator * (scale // f.denominator))
+                for z, f in br if z not in banned
+            ]
             if not br:
                 continue
-            br = [(z, as_scalar(f)) for z, f in br if z not in banned]  # coerced once
-            if not br:
-                continue
-            for sa, ca, rest_a in splits_a:
-                for sb, cb, rest_b in splits_b:
+            for sa, (ra, ia), rest_a in splits_a:
+                for sb, (rb, ib), rest_b in splits_b:
                     merged = _merge_sorted(rest_a, rest_b)
                     if merged is None:
                         continue
                     msign, rest = merged
-                    sign, cab = sa * sb * msign, ca * cb
-                    for z, f in br:
+                    sign = sa * sb * msign
+                    re, im = sign * (ra * rb - ia * ib), sign * (ra * ib + ia * rb)
+                    for z, n in br:
                         ins = _insert_front(z, rest)
                         if ins is None:
                             continue
                         isign, key = ins
-                        t = cab * f
-                        out._accumulate(key, t if isign == sign else -t)
+                        m = n if isign == 1 else -n
+                        cur = sums.get(key)
+                        if cur is None:
+                            sums[key] = (re * m, im * m)
+                        else:
+                            tr, ti = cur[0] + re * m, cur[1] + im * m
+                            if tr or ti:
+                                sums[key] = (tr, ti)
+                            else:
+                                del sums[key]
+    den = den_a * den_b * scale
+    for key, (re, im) in sums.items():  # in place: no second dict of terms
+        sums[key] = _gq(Fraction(re, den), Fraction(im, den) if im else _F0)
+    out = Multivector.zero(u.degree + v.degree - 1)
+    out.terms = sums
     return out
 
 
-def _grouped_splits(w: Multivector, banned: frozenset[int]) -> list[tuple[int, list]]:
-    """Every factor of every term of w whose removal leaves no banned index,
-    grouped by factor in increasing order: (factor, [((-1)^position,
-    coefficient, rest of the key), ...]) with terms in the order of w. The
-    group order does not depend on ``banned``, which keeps a projected
-    bracket in the term order of the full one."""
+def _grouped_splits(
+    w: Multivector, banned: frozenset[int]
+) -> tuple[int, list[tuple[int, list]]]:
+    """The common denominator D of w's coefficients, and every factor of
+    every term of w whose removal leaves no banned index, grouped by factor
+    in increasing order: (factor, [((-1)^position, (re, im), rest of the
+    key), ...]) with terms in the order of w and (re + im*i) / D the
+    coefficient. The group order does not depend on ``banned``, which keeps
+    a projected bracket in the term order of the full one."""
+    den = lcm(*(d for c in w.terms.values() for d in (c.re.denominator, c.im.denominator)))
     groups: dict[int, list] = {}
     for key, c in w.terms.items():
+        num = (c.re.numerator * (den // c.re.denominator),
+               c.im.numerator * (den // c.im.denominator))
         for p, x in enumerate(key):
             rest = key[:p] + key[p + 1 :]
             if banned.isdisjoint(rest):
-                groups.setdefault(x, []).append((-1 if p & 1 else 1, c, rest))
-    return sorted(groups.items())
+                groups.setdefault(x, []).append((-1 if p & 1 else 1, num, rest))
+    return den, sorted(groups.items())
 
 
 def ad_action(basis: ChevalleyBasis, x: Element, u: Multivector) -> Multivector:

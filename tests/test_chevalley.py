@@ -114,6 +114,24 @@ def test_killing_opposite_is_the_root_string_trace():
             assert total == tb.killing_opposite(alpha), (row["type"], row["rank"], alpha)
 
 
+def test_bracket_denominator_is_the_least_common_one():
+    # bracket_denominator times every bracket coefficient is an integer, and
+    # no proper divisor of it has that property
+    recorded = json.loads((Path(__file__).parent / "chevalley_digests.json").read_text())
+    for row in recorded:
+        tb = get_basis(row["type"], row["rank"])
+        coeffs = {
+            c for i in range(tb.dim) for j in range(tb.dim) for _, c in tb.bracket_index(i, j)
+        }
+        d = tb.bracket_denominator
+
+        def clears(e):
+            return all((e * c).denominator == 1 for c in coeffs)
+
+        assert clears(d), (row["type"], row["rank"])
+        assert not any(clears(e) for e in range(1, d) if d % e == 0), (row["type"], row["rank"])
+
+
 # h^vee: with long roots of squared length 2 the Killing form is 2 h^vee ( , )
 DUAL_COXETER = {
     "A": lambda n: n + 1, "B": lambda n: 2 * n - 1, "C": lambda n: n + 1,

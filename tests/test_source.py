@@ -44,3 +44,18 @@ def test_levi_actions_read_the_bracket_table():
     lines = (SRC / "invariants.py").read_text(encoding="utf-8").splitlines()
     found = [n for n, line in enumerate(lines, 1) if "structure_constant(" in line]
     assert found == []
+
+
+def test_schouten_kernel_sums_numerators():
+    # the kernel sums Gaussian-integer numerators and makes one scalar per
+    # output term, so no per-term scalar coercion or accumulation comes back
+    tree = ast.parse((SRC / "multivec.py").read_text(encoding="utf-8"))
+    kernel = next(
+        n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "schouten"
+    )
+    called = {
+        n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+        for n in ast.walk(kernel)
+        if isinstance(n, ast.Call)
+    }
+    assert called.isdisjoint({"as_scalar", "_accumulate"})
