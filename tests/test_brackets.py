@@ -6,6 +6,7 @@ import pytest
 from orbitpoisson import (
     InvariantBivector,
     LinearForm,
+    ad_action,
     bivector_matrix_rank,
     build_levi,
     classify_good,
@@ -22,6 +23,7 @@ from orbitpoisson import (
     verify_square,
 )
 from orbitpoisson.linalg import rank_of
+from orbitpoisson.roots import negate
 from orbitpoisson.scalars import GaussianRational, parse_scalar
 
 from conftest import get_basis, get_levi, get_rs
@@ -74,7 +76,12 @@ def test_realize_invariance_d4():
     tb = get_basis("D", 4)
     rng = random.Random(13)
     coeffs = {q: rng.randint(1, 9) for q in levi.positive_quasiroots}
-    realize(InvariantBivector(levi, coeffs), tb, check=True)  # raises on failure
+    v = realize(InvariantBivector(levi, coeffs), tb)
+    assert not v.is_zero()
+    simple = tb.rs.simple_roots
+    for g in sorted(levi.gamma):
+        for root in (simple[g - 1], negate(simple[g - 1])):
+            assert ad_action(tb, tb.root_vector(root), v).is_zero(), root
 
 
 def test_recursion_examples():

@@ -1,4 +1,7 @@
+import hashlib
+import json
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,8 @@ from orbitpoisson import (
     LinearForm,
     Multivector,
     WeylBoundExceeded,
+    ad_action,
+    admissible_pairs,
     betti_numbers,
     build_chevalley_basis,
     build_levi,
@@ -17,8 +22,10 @@ from orbitpoisson import (
     kks,
     phi,
     project_to_m,
+    solve_compatible,
     solve_recursion,
     tensor_multiplicity,
+    theta_apply,
     theta_split,
     verify_square,
     weight_zero_monomials,
@@ -26,9 +33,21 @@ from orbitpoisson import (
 from orbitpoisson import invariants
 from orbitpoisson.invariants import weyl_coset_count
 from orbitpoisson.linalg import SpanSolver
+from orbitpoisson.roots import negate
 from orbitpoisson.scalars import GaussianRational
 
 from conftest import get_basis, get_levi, get_rs
+
+
+def orbit_id(orbit) -> str:
+    return f"{orbit[0]}{orbit[1]}{list(orbit[2])}"
+
+
+# the nine cohomology_real benchmark orbits
+BENCH_ORBITS = [
+    ("C", 3, (1,)), ("A", 4, (1, 4)), ("A", 4, (2, 3)), ("A", 4, (1, 2)),
+    ("B", 4, (2, 3, 4)), ("G", 2, ()), ("A", 3, ()), ("D", 4, (1, 2, 3)), ("C", 3, (1, 2)),
+]
 
 
 def test_weight_zero_enumeration_small():
@@ -50,9 +69,7 @@ ENUMERATION_ORBITS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "orbit", ENUMERATION_ORBITS, ids=lambda o: f"{o[0]}{o[1]}{list(o[2])}"
-)
+@pytest.mark.parametrize("orbit", ENUMERATION_ORBITS, ids=orbit_id)
 def test_weight_zero_monomials_match_brute_force(orbit):
     # list equality, so the ascending order is pinned as well as the set
     t, r, gamma = orbit
@@ -91,28 +108,25 @@ def test_degree_two_invariants_count_quasiroot_classes():
 
 
 def test_invariant_vectors_are_killed_by_levi_generators():
-    from orbitpoisson.multivec import ad_action
-    from orbitpoisson.roots import negate
-
-    levi = get_levi("D", 4, (1, 2))
-    tb = get_basis("D", 4)
-    for vec in invariant_basis(levi, tb, 3):
-        for g in levi.gamma:
-            for root in (tb.rs.simple_roots[g - 1], negate(tb.rs.simple_roots[g - 1])):
-                assert ad_action(tb, tb.root_vector(root), vec).is_zero()
+    # the Schouten kernel, not the index-level rows the basis is solved
+    # from, applies every E_{+-gamma} to every basis vector in every degree
+    for t, r, gamma in BENCH_ORBITS + [("D", 4, (1, 2))]:
+        levi = get_levi(t, r, gamma)
+        tb = get_basis(t, r)
+        simple = tb.rs.simple_roots
+        roots = [x for g in sorted(gamma) for x in (simple[g - 1], negate(simple[g - 1]))]
+        for k in range(levi.dim_m() + 1):
+            for vec in invariant_basis(levi, tb, k):
+                for root in roots:
+                    assert ad_action(tb, tb.root_vector(root), vec).is_zero(), (t, r, gamma, k)
 
 
 LEVI_ACTION_ORBITS = [("A", 3, (1,)), ("B", 3, (2,)), ("G", 2, ()), ("D", 4, (1, 3, 4))]
 
 
-@pytest.mark.parametrize(
-    "orbit", LEVI_ACTION_ORBITS, ids=lambda o: f"{o[0]}{o[1]}{list(o[2])}"
-)
+@pytest.mark.parametrize("orbit", LEVI_ACTION_ORBITS, ids=orbit_id)
 def test_levi_rows_on_wedges_match_ad_action(orbit):
     # the G2 full flag has no Levi generators: it checks that no row comes out
-    from orbitpoisson.multivec import ad_action
-    from orbitpoisson.roots import negate
-
     type_label, rank, gamma = orbit
     levi = get_levi(type_label, rank, gamma)
     tb = get_basis(type_label, rank)
@@ -240,15 +254,10 @@ def test_euler_characteristic_of_invariant_complex():
     assert euler == sum(de_rham_betti(get_rs("A", 2), ()))
 
 
-# the cohomology_* benchmark orbits, A2 and D4{1,2}
-OWNER_ORBITS = [
-    ("A", 2, ()), ("D", 4, (1, 2)), ("C", 3, (1,)), ("A", 4, (1, 4)), ("A", 4, (2, 3)),
-    ("A", 4, (1, 2)), ("B", 4, (2, 3, 4)), ("G", 2, ()), ("A", 3, ()), ("D", 4, (1, 2, 3)),
-    ("C", 3, (1, 2)),
-]
+OWNER_ORBITS = [("A", 2, ()), ("D", 4, (1, 2))] + BENCH_ORBITS
 
 
-@pytest.mark.parametrize("orbit", OWNER_ORBITS, ids=lambda o: f"{o[0]}{o[1]}{list(o[2])}")
+@pytest.mark.parametrize("orbit", OWNER_ORBITS, ids=orbit_id)
 def test_invariant_basis_vectors_own_their_first_monomial(orbit):
     t, r, gamma = orbit
     levi = get_levi(t, r, gamma)
@@ -308,3 +317,84 @@ def test_the_complex_solves_no_span(monkeypatch):
     assert betti_numbers(levi, tb, v) == [1, 0, 2, 0, 2, 0, 1]
     plus, minus = theta_split(tb, invariant_basis(levi, tb, 3))
     assert len(plus) + len(minus) == 2
+
+
+DIGEST_ORBITS = BENCH_ORBITS + [("A", 4, (3,))]
+TENSOR_ORBITS = [("A", 3, (1,)), ("B", 3, (2,)), ("C", 3, (1, 2)), ("D", 4, (1, 3, 4))]
+
+
+def invariant_digests(t, r, gamma) -> list[str]:
+    """SHA-256 of repr of the terms, term order included, of the whole
+    invariant basis in each degree."""
+    levi, tb = get_levi(t, r, gamma), get_basis(t, r)
+    return [
+        hashlib.sha256(
+            repr([list(v.terms.items()) for v in invariant_basis(levi, tb, k)]).encode()
+        ).hexdigest()
+        for k in range(levi.dim_m() + 1)
+    ]
+
+
+def tensor_multiplicities(t, r, gamma) -> dict[str, int]:
+    levi, tb = get_levi(t, r, gamma), get_basis(t, r)
+    return {f"{a}+{b}": tensor_multiplicity(levi, tb, a, b) for a, b in admissible_pairs(levi)}
+
+
+def test_invariant_digests():
+    """Every invariant basis of the digest orbits, byte for byte, and every
+    admissible tensor multiplicity of the tensor orbits, against
+    invariant_digests.json."""
+    recorded = json.loads((Path(__file__).parent / "invariant_digests.json").read_text())
+    for key, orbits, compute in [
+        ("invariant_basis", DIGEST_ORBITS, invariant_digests),
+        ("tensor_multiplicity", TENSOR_ORBITS, tensor_multiplicities),
+    ]:
+        rows = recorded[key]
+        assert [(row["type"], row["rank"], tuple(row["gamma"])) for row in rows] == orbits
+        for row in rows:
+            orbit = (row["type"], row["rank"], tuple(row["gamma"]))
+            assert compute(*orbit) == row["values"], (key, orbit)
+
+
+def _product(a, b) -> list[dict]:
+    """A.B for matrices given as sparse columns {row: entry}: column j of the
+    product combines the columns of A with the entries of column j of B."""
+    out = []
+    for col in b:
+        acc: dict = {}
+        for i, c in col.items():
+            for row, x in a[i].items():
+                acc[row] = acc.get(row, 0) + c * x
+        out.append({row: x for row, x in acc.items() if x})
+    return out
+
+
+@pytest.mark.parametrize(
+    "orbit, mode", [(o, "kks") for o in BENCH_ORBITS] + [(("A", 3, ()), "compatible")],
+    ids=lambda x: x if isinstance(x, str) else orbit_id(x),
+)
+def test_theta_anticommutes_with_delta(orbit, mode):
+    # theta is an automorphism of the Schouten bracket and theta(v) = -v, so
+    # D_k T_k = -T_{k+1} D_k exactly, with T_k the matrix of theta in degree k
+    t, r, gamma = orbit
+    levi, tb = get_levi(t, r, gamma), get_basis(t, r)
+    lam = LinearForm(levi, range(1, len(levi.free_positions) + 1))
+    if mode == "kks":
+        v = kks(levi, lam)
+    else:
+        outcome = solve_compatible(levi, lam, GaussianRational(0, 1), "+", 1, tb)
+        assert outcome.is_success
+        v = outcome.solution
+    complex_ = InvariantComplex(levi, tb, v)
+
+    def theta_matrix(k):
+        vectors = complex_.basis_at(k)
+        images = (theta_apply(tb, u).terms for u in vectors)
+        return invariants._owner_coordinates(vectors, images)
+
+    theta = theta_matrix(0)
+    for k in range(levi.dim_m() + 1):
+        delta, theta_next = complex_.delta_matrix(k), theta_matrix(k + 1)
+        minus = [{i: -c for i, c in col.items()} for col in _product(theta_next, delta)]
+        assert _product(delta, theta) == minus, k
+        theta = theta_next

@@ -59,3 +59,20 @@ def test_schouten_kernel_sums_numerators():
         if isinstance(n, ast.Call)
     }
     assert called.isdisjoint({"as_scalar", "_accumulate"})
+
+
+def test_invariants_never_apply_ad_action():
+    # every invariant space is solved as the joint kernel of the Levi root
+    # vectors, so nothing applies them again at run time
+    tree = ast.parse((SRC / "invariants.py").read_text(encoding="utf-8"))
+    names = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert "ad_action" not in names
+
+
+def test_realize_has_no_check_argument():
+    tree = ast.parse((SRC / "brackets.py").read_text(encoding="utf-8"))
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "realize")
+    params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+    assert [a.arg for a in params] == ["b", "basis"]
