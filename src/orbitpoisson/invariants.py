@@ -29,7 +29,7 @@ from .brackets import InternalInvariantError, InvariantBivector, realize
 from .chevalley import ChevalleyBasis
 from .levi import LeviDatum, Quasiroot
 from .linalg import kernel_basis, rank_of
-from .multivec import Multivector, _insert_front, schouten
+from .multivec import Multivector, _grouped_splits, _insert_front, gamma_indices, schouten
 from .roots import RootSystem, add, negate
 from .scalars import GaussianRational, as_scalar
 
@@ -233,6 +233,8 @@ class InvariantComplex:
         self.basis = basis
         self.bivector = v
         self._vmv = realize(v, basis)
+        # every column of every delta_k brackets the same bivector
+        self._vmv_groups = _grouped_splits(self._vmv, gamma_indices(basis, levi))
         self._bases: dict[int, list[Multivector]] = {}
 
     def basis_at(self, k: int) -> list[Multivector]:
@@ -241,7 +243,7 @@ class InvariantComplex:
         return self._bases[k]
 
     def differential(self, u: Multivector) -> Multivector:
-        return schouten(self.basis, self._vmv, u, self.levi)
+        return schouten(self.basis, self._vmv, u, self.levi, u_groups=self._vmv_groups)
 
     def delta_matrix(self, k: int) -> list[dict[int, GaussianRational]]:
         """Sparse columns {position: coefficient}: the images of the

@@ -1,24 +1,42 @@
-"""Exact sparse linear algebra over Fraction or GaussianRational entries.
+"""Exact sparse linear algebra over the rationals and the Gaussian rationals.
 
-Rows are sparse maps column -> coefficient; columns may be ints or tuples
-(one kind per matrix).  Pivot sets are kept fully reduced: every pivot column
-is eliminated from every other pivot row, so reducing a row is a single pass
-and kernel extraction reads coefficients straight off the pivot rows.  A new
-row is reduced against the existing pivots before it is added, so only its
-own pivot column can appear elsewhere; adding it scans the existing pivot
-rows once and clears that column from each.  No reverse column index is kept.
+Input rows are sparse maps column -> coefficient (int, Fraction or
+GaussianRational); columns may be ints or tuples (one kind per matrix).
+Each row is converted once, on entry, to Gaussian-integer numerators over one
+positive denominator in lowest terms: ``(D, re, im)`` with ``re`` and ``im``
+sparse maps column -> nonzero int, the entry at a column being
+``(re + im*i) / D``.  Real data leaves every ``im`` empty, so it does no
+Gaussian work.  Clearing column c of a row r with the pivot row p of c is
+the integer-preserving step of Bareiss (Math. Comp. 22, 1968),
+``r <- D_p * r - r[c] * p``, followed by division by the gcd of the
+denominator and every numerator.  Values are made only at the boundary, by
+``reduce`` and ``kernel_basis``: an entry is a Fraction when its imaginary
+part is 0 and a GaussianRational otherwise.
+
+Pivot sets are kept fully reduced: every pivot row is 1 at its pivot column
+(its smallest one), and that column is eliminated from every other pivot
+row, so a row is reduced in a single pass and kernel extraction reads
+coefficients straight off the pivot rows.  A new row is reduced against the
+existing pivots before it is added, so only its own pivot column can appear
+elsewhere; it is scaled to a leading 1 by the conjugate of its leading
+entry, and adding it scans the existing pivot rows once and clears that
+column from each with the same step.  No reverse column index is kept.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+from .scalars import GaussianRational, _gq
 
 
 class Echelon:
     """Incremental fully-reduced echelon form of a set of sparse rows."""
 
     def __init__(self, rows=()):
-        self.pivot_rows: dict = {}  # pivot column -> row dict with leading 1
+        # pivot column -> (D, re, im) with the leading 1 at re[column] == D
+        self.pivot_rows: dict = {}
         for row in rows:
             self.add(row)
 
@@ -27,39 +45,122 @@ class Echelon:
         return len(self.pivot_rows)
 
     def reduce(self, row: dict) -> dict:
-        """Reduce a row against the pivots (new dict; single pass suffices
-        because pivot rows contain no other pivot columns)."""
-        r = {c: v for c, v in row.items() if v}
-        for c in [c for c in r if c in self.pivot_rows]:
-            _subtract(r, r[c], self.pivot_rows[c])
-        return r
+        """Reduce a row against the pivots; a new dict of values."""
+        return _values(*self._reduce(*_numerators(row)))
+
+    def _reduce(self, d: int, re: dict, im: dict) -> tuple:
+        # one pass clears every pivot column of the row at once: clearing one
+        # leaves the others, which no pivot row contains, unchanged
+        pivots = self.pivot_rows
+        hits = [(c, pivots[c]) for c in (re.keys() | im.keys() if im else re) if c in pivots]
+        return _eliminate(d, re, im, hits)
 
     def add(self, row: dict):
         """Reduce and, if independent, register a new pivot.
 
         Returns the pivot column, or None when the row was dependent."""
-        r = self.reduce(row)
-        if not r:
+        _, re, im = self._reduce(*_numerators(row))
+        if not re and not im:
             return None
-        c = min(r)
-        # not 1 / r[c]: on an int that is a float
-        inv = Fraction(1) / r[c]
-        r = {cc: vv * inv for cc, vv in r.items()}
-        for prow in self.pivot_rows.values():
-            if c in prow:
-                _subtract(prow, prow[c], r)
-        self.pivot_rows[c] = r
+        c = min(re.keys() | im.keys() if im else re)
+        zr, zi = re.get(c, 0), im.get(c, 0)
+        # (re + im*i) / D divided by its leading z / D is
+        # (re + im*i) * conj(z) / |z|^2
+        new = _lowest(zr * zr + zi * zi, *_times(re, im, zr, -zi))
+        pivots = self.pivot_rows
+        for p, (pd, pre, pim) in pivots.items():
+            if c in pre or c in pim:
+                pivots[p] = _eliminate(pd, pre, pim, [(c, new)])
+        pivots[c] = new
         return c
 
 
-def _subtract(target: dict, f, row: dict) -> None:
-    """target -= f * row in place, dropping the entries that cancel."""
+def _numerators(row: dict) -> tuple[int, dict, dict]:
+    """The row as (D, re, im) in lowest terms, zero entries dropped."""
+    re_part, im_part = {}, {}  # column -> (numerator, denominator)
     for c, v in row.items():
-        nv = target.get(c, 0) - f * v
-        if nv:
-            target[c] = nv
+        if isinstance(v, GaussianRational):
+            if v.re:
+                re_part[c] = v.re.as_integer_ratio()
+            if v.im:
+                im_part[c] = v.im.as_integer_ratio()
+        elif v:
+            re_part[c] = v.as_integer_ratio()
+    d = lcm(*(q for _, q in re_part.values()), *(q for _, q in im_part.values()))
+    # with D the lcm of the denominators, no prime divides D and every numerator
+    re = {c: n * (d // q) for c, (n, q) in re_part.items()}
+    im = {c: n * (d // q) for c, (n, q) in im_part.items()}
+    return d, re, im
+
+
+def _axpy(target: dict, f: int, source: dict) -> None:
+    """target += f * source in place, f nonzero, dropping the entries that
+    cancel."""
+    for c, v in source.items():
+        x = target.get(c, 0) + f * v
+        if x:
+            target[c] = x
         else:
-            target.pop(c, None)
+            del target[c]
+
+
+def _times(re: dict, im: dict, fr: int, fi: int) -> tuple[dict, dict]:
+    """Numerators of (re + im*i) * (fr + fi*i), new maps."""
+    out_re = {c: fr * v for c, v in re.items()} if fr else {}
+    out_im = {c: fr * v for c, v in im.items()} if fr else {}
+    if fi:
+        _axpy(out_re, -fi, im)
+        _axpy(out_im, fi, re)
+    return out_re, out_im
+
+
+def _eliminate(d: int, re: dict, im: dict, hits: list) -> tuple:
+    """Clear from the row (d, re, im) the columns c of ``hits``, pairs
+    (c, pivot row of c); each pivot row is 1 at its c and 0 at the others'.
+    With L the lcm of their denominators D_p the numerators become
+    L * row - sum of row[c] * (L / D_p) * p over d * L, in lowest terms; with
+    one pivot this is D_p * row - row[c] * p.  L and the multipliers row[c] *
+    (L / D_p) are first divided by their gcd, which often leaves L = 1 and
+    the row unscaled.  Returns the new (d, re, im), which may reuse re, im."""
+    big = lcm(*(p[0] for _, p in hits))
+    coeffs = [(re.get(c, 0) * (big // p[0]), im.get(c, 0) * (big // p[0]), p) for c, p in hits]
+    g = gcd(big, *(f for fr, fi, _ in coeffs for f in (fr, fi)))
+    if g != 1:
+        big //= g
+        coeffs = [(fr // g, fi // g, p) for fr, fi, p in coeffs]
+    if big != 1:
+        re = {k: v * big for k, v in re.items()}
+        im = {k: v * big for k, v in im.items()}
+    for fr, fi, (_, pre, pim) in coeffs:
+        if fr:
+            _axpy(re, -fr, pre)
+            if pim:
+                _axpy(im, -fr, pim)
+        if fi:
+            _axpy(im, -fi, pre)
+            if pim:
+                _axpy(re, fi, pim)
+    return _lowest(d * big, re, im)
+
+
+def _lowest(d: int, re: dict, im: dict) -> tuple:
+    """(d, re, im) divided by the gcd of d and every numerator."""
+    g = gcd(d, *re.values(), *im.values())
+    if g == 1:
+        return d, re, im
+    return d // g, {k: v // g for k, v in re.items()}, {k: v // g for k, v in im.items()}
+
+
+def _value(d: int, re: int, im: int):
+    """The entry (re + im*i) / d: a Fraction when im is 0."""
+    if im:
+        return _gq(Fraction(re, d), Fraction(im, d))
+    return Fraction(re, d)
+
+
+def _values(d: int, re: dict, im: dict) -> dict:
+    return {c: _value(d, re.get(c, 0), im.get(c, 0))
+            for c in (re.keys() | im.keys() if im else re)}
 
 
 def rank_of(rows) -> int:
@@ -75,10 +176,9 @@ def kernel_basis(rows, ncols: int) -> list[dict]:
         if free in pivots:
             continue
         vec = {free: Fraction(1)}
-        for p, prow in pivots.items():
-            v = prow.get(free)
-            if v:
-                vec[p] = -v
+        for p, (d, re, im) in pivots.items():
+            if free in re or free in im:
+                vec[p] = _value(d, -re.get(free, 0), -im.get(free, 0))
         out.append(vec)
     return out
 
@@ -96,7 +196,7 @@ class SpanSolver:
         self._ech = Echelon()
         for pos, vec in enumerate(vectors):
             row = _tagged(vec)
-            row[(1, pos)] = Fraction(1)
+            row[(1, pos)] = 1
             if self._ech.add(row)[0] == 1:
                 raise ValueError(f"basis vector {pos} depends on earlier ones")
 

@@ -165,7 +165,7 @@ def wedge(u: Multivector, v: Multivector) -> Multivector:
 
 
 def schouten(basis: ChevalleyBasis, u: Multivector, v: Multivector,
-             levi: LeviDatum | None = None) -> Multivector:
+             levi: LeviDatum | None = None, *, u_groups=None) -> Multivector:
     """Schouten bracket of homogeneous multivectors; degree adds minus one.
 
     With a Levi datum only the terms on the orbit tangent space are formed:
@@ -176,12 +176,16 @@ def schouten(basis: ChevalleyBasis, u: Multivector, v: Multivector,
     The sums run on Gaussian-integer numerators, (re, im) int pairs over the
     one denominator D_u * D_v * bracket_denominator; a key whose sum reaches
     zero is dropped at once, as in ``_accumulate``, so a later term puts it
-    back at the end. Each surviving sum becomes one Gaussian rational."""
+    back at the end. Each surviving sum becomes one Gaussian rational.
+
+    A caller that brackets one u with many v builds u's
+    ``_grouped_splits(u, gamma_indices(basis, levi))`` once and passes it as
+    ``u_groups``."""
     if u.degree == 0 or v.degree == 0:
         return Multivector.zero(max(u.degree + v.degree - 1, 0))
     banned = frozenset() if levi is None else gamma_indices(basis, levi)
     scale = basis.bracket_denominator
-    den_a, groups_a = _grouped_splits(u, banned)
+    den_a, groups_a = _grouped_splits(u, banned) if u_groups is None else u_groups
     den_b, groups_b = _grouped_splits(v, banned)
     sums: dict = {}  # key -> (re, im), then the Gaussian rational
     for x, splits_a in groups_a:

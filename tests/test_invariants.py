@@ -189,6 +189,16 @@ def test_betti_recursion_bracket_nonzero_k():
         assert betti_numbers(levi, tb, out.solution) == de_rham_betti(get_rs("A", 2), ()), seeds
 
 
+def test_betti_a4_gamma_3_matches_oracle():
+    # 1012 invariant vectors, 150 in the middle degree: the smallest orbit on
+    # which exact rank used to dominate the cohomology
+    levi = get_levi("A", 4, (3,))
+    tb = get_basis("A", 4)
+    betti = betti_numbers(levi, tb, kks(levi, LinearForm(levi, [1, 2, 3])))
+    assert betti == de_rham_betti(get_rs("A", 4), (3,))
+    assert all(b == 0 for b in betti[1::2])
+
+
 def test_de_rham_oracle():
     assert de_rham_betti(get_rs("A", 2), ()) == [1, 0, 2, 0, 2, 0, 1]
     a3 = de_rham_betti(get_rs("A", 3), (2,))

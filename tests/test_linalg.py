@@ -67,7 +67,7 @@ def _reference_pivots(rows, ncols):
     return pivots
 
 
-def _random_rows(rng, nrows, ncols, gaussian):
+def _random_rows(rng, nrows, ncols, gaussian, max_terms=4):
     def entry():
         re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         return GaussianRational(re, rng.randint(-2, 2)) if gaussian else re
@@ -79,7 +79,7 @@ def _random_rows(rng, nrows, ncols, gaussian):
             f = entry()
             row = {c: a.get(c, 0) + f * b.get(c, 0) for c in a.keys() | b.keys()}
         else:
-            row = {c: entry() for c in rng.sample(range(ncols), rng.randint(0, min(4, ncols)))}
+            row = {c: entry() for c in rng.sample(range(ncols), rng.randint(0, min(max_terms, ncols)))}
         rows.append({c: v for c, v in row.items() if v})
     return rows
 
@@ -109,3 +109,44 @@ def test_integer_rows_give_fraction_kernels():
     assert kernel == [{0: Fraction(-1, 3), 1: 1}]
     assert all(type(v) is Fraction for v in kernel[0].values())
     assert rows == [{0: 3, 1: 1}]
+
+
+def test_gaussian_leading_entry_and_mixed_denominators():
+    # the kernel is spanned by (i/2, 1/3, 1); the third row is (1 - i)/2 times
+    # the first, whose leading entry 1 + 2i is not real
+    rows = [
+        {0: 1 + 2 * I, 1: Fraction(1, 2), 2: GaussianRational(Fraction(5, 6), Fraction(-1, 2))},
+        {0: 2, 1: Fraction(3, 4), 2: GaussianRational(Fraction(-1, 4), -1)},
+        {0: GaussianRational(Fraction(3, 2), Fraction(1, 2)),
+         1: GaussianRational(Fraction(1, 4), Fraction(-1, 4)),
+         2: GaussianRational(Fraction(1, 6), Fraction(-2, 3))},
+    ]
+    assert rank_of(rows) == 2
+    assert rank_of(rows[::-1]) == 2
+    kernel = kernel_basis(rows, 3)
+    assert kernel == [{2: 1, 0: I / 2, 1: Fraction(1, 3)}]
+    # the free column first, then the pivots in the order they were set
+    assert list(kernel[0]) == [2, 0, 1]
+    assert type(kernel[0][0]) is GaussianRational
+    assert type(kernel[0][1]) is Fraction and type(kernel[0][2]) is Fraction
+    solver = SpanSolver(rows[:2])
+    assert solver.express(rows[2]) == {0: (1 - I) / 2}
+    assert not solver.contains({2: 1})
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["Q", "Q(i)"])
+def test_larger_matrices_match_dense_reference(gaussian):
+    rng = random.Random(20261019)
+    for _ in range(6):
+        ncols = rng.randint(20, 30)
+        rows = _random_rows(rng, rng.randint(20, 30), ncols, gaussian, max_terms=10)
+        pivots = _reference_pivots(rows, ncols)
+        assert rank_of(rows) == len(pivots)
+        kernel = kernel_basis(rows, ncols)
+        free = [c for c in range(ncols) if c not in pivots]
+        assert len(kernel) == len(free)
+        for vec, col in zip(kernel, free):
+            assert {c: vec.get(c, 0) for c in free} == {c: int(c == col) for c in free}
+            assert all(type(v) is Fraction or v.im for v in vec.values())
+            for row in rows:
+                assert sum((v * vec.get(c, 0) for c, v in row.items()), Fraction(0)) == 0

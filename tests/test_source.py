@@ -61,6 +61,23 @@ def test_schouten_kernel_sums_numerators():
     assert called.isdisjoint({"as_scalar", "_accumulate"})
 
 
+def test_elimination_kernel_runs_on_numerators():
+    # rows are Gaussian-integer numerators over one denominator, so only the
+    # kernel's boundary makes values: _value, and kernel_basis for the 1 at
+    # each free column
+    tree = ast.parse((SRC / "linalg.py").read_text(encoding="utf-8"))
+    called = {
+        (fn.name, n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None))
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name not in {"_value", "kernel_basis"}
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Call)
+    }
+    assert {fn for fn, _ in called} >= {"add", "_reduce", "_eliminate"}
+    made = {"Fraction", "GaussianRational", "_gq", "as_scalar"}
+    assert [(fn, name) for fn, name in sorted(called) if name in made] == []
+
+
 def test_invariants_never_apply_ad_action():
     # every invariant space is solved as the joint kernel of the Levi root
     # vectors, so nothing applies them again at run time
