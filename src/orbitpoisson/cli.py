@@ -4,12 +4,14 @@ reports with machine-readable output.
 Commands
     classify TYPE RANK [--gamma 1,2] [--all-gamma] [--seed N]
     solve    TYPE RANK --mode kks|recursion|compatible [options]
-    cohomology TYPE RANK --mode kks|recursion|compatible [options]
+    cohomology TYPE RANK --mode kks|recursion|compatible [--max-monomials N] [options]
 
 Scalars use the exact grammar of the library ("1/2", "i", "3-1/4*i").  Output
 is a single JSON document (``--format text`` renders tables instead).  Reports
 are byte-deterministic for identical inputs; ``--timing`` adds wall-clock
-fields and is therefore off by default.
+fields and is therefore off by default.  ``cohomology`` counts the
+weight-zero monomials before it builds the invariant complex and refuses an
+orbit with more than ``--max-monomials`` of them.
 
 Exit codes: 0 success, 2 parse or configuration error, 3 mathematical
 inconsistency witness, 4 internal invariant failure.
@@ -38,7 +40,7 @@ from .brackets import (
     verify_square,
 )
 from .chevalley import ChevalleyBasis, build_chevalley_basis
-from .invariants import WeylBoundExceeded, betti_numbers, de_rham_betti
+from .invariants import WeylBoundExceeded, betti_numbers, de_rham_betti, weight_zero_counts
 from .levi import LeviDatum, build_levi
 from .roots import RootSystem, build_root_system
 from .scalars import format_scalar, parse_scalar
@@ -49,6 +51,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_WITNESS = 3
 EXIT_INTERNAL = 4
+
+# admits D4 with Gamma = {2} (23968 weight-zero monomials, a few minutes of
+# cohomology); the D4 full flag has 79552
+MAX_MONOMIALS = 30000
 
 
 class ConfigError(ValueError):
@@ -298,6 +304,7 @@ def cmd_cohomology(args) -> tuple[dict, int]:
         oracle = de_rham_betti(rs, levi.gamma)
     except WeylBoundExceeded as exc:
         raise ConfigError(f"orbit too large for the cohomology oracle: {exc}") from exc
+    _check_size(levi, args.max_monomials)
     betti = betti_numbers(levi, basis, outcome.solution)
     match = betti == oracle
     report["result"] = {
@@ -311,6 +318,24 @@ def cmd_cohomology(args) -> tuple[dict, int]:
         "verification": _verification_dict(outcome),
     }
     return report, EXIT_OK
+
+
+def _check_size(levi: LeviDatum, limit: int) -> None:
+    """Refuse an orbit with more than ``limit`` weight-zero monomials in all
+    degrees before the invariant complex is built."""
+    if limit < 0:
+        raise ConfigError("--max-monomials must be nonnegative")
+    counts = weight_zero_counts(levi, limit)
+    if counts is None:
+        raise ConfigError(
+            f"orbit too large for the invariant complex: more than {limit} "
+            "weight-zero monomials (--max-monomials)"
+        )
+    if sum(counts) > limit:
+        raise ConfigError(
+            f"orbit too large for the invariant complex: {sum(counts)} weight-zero "
+            f"monomials exceed {limit} (--max-monomials)"
+        )
 
 
 def _render_text(report: dict) -> str:
@@ -419,6 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sign", choices=("+", "-"), default="+")
         p.add_argument("--seed-c", dest="seed_c", default=None, help="seed coefficient (compatible mode)")
         p.add_argument("--seeds", default=None, help="seed coefficients (recursion mode)")
+        if name == "cohomology":
+            p.add_argument("--max-monomials", type=int, default=MAX_MONOMIALS,
+                           help="refuse orbits with more weight-zero monomials in all "
+                                f"degrees (default {MAX_MONOMIALS})")
         p.set_defaults(func=fn)
     return parser
 

@@ -15,23 +15,36 @@ tensor triples of tensor_multiplicity it replaces the factor in its slot.
 
 The weight-zero monomial space splits under the class signature (the multiset
 of quasiroots of the wedge factors), which the Levi operators preserve; the
-kernel computation runs block by block.
+kernel computation runs block by block.  The Levi rows are ints: the action
+times the bracket table's one common denominator.
+
+The differential runs on Gaussian-integer numerators, (re, im) int pairs,
+from the Schouten image to the rank: each image is read off the owner
+monomials and checked there on ints, and delta_k is kept as M_k = L_k delta_k
+for one positive int L_k per degree, which neither its rank nor the d^2 = 0
+check depends on.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 
 from .brackets import InternalInvariantError, InvariantBivector, realize
 from .chevalley import ChevalleyBasis
 from .levi import LeviDatum, Quasiroot
 from .linalg import kernel_basis, rank_of
-from .multivec import Multivector, _grouped_splits, _insert_front, gamma_indices, schouten
+from .multivec import (
+    Multivector,
+    _gaussian_numerators,
+    _grouped_splits,
+    _insert_front,
+    gamma_indices,
+    schouten,
+)
 from .roots import RootSystem, add, negate
-from .scalars import GaussianRational, as_scalar
+from .scalars import as_scalar
 
 
 def weight_zero_monomials(
@@ -70,6 +83,33 @@ def weight_zero_monomials(
     return out
 
 
+def weight_zero_counts(levi: LeviDatum, cap: int) -> list[int] | None:
+    """Number of weight-zero monomials in each degree 0..dim m, counted on
+    the split of weight_zero_monomials without listing them:
+    #_k = sum over n and w of c_n(w) c_{k-n}(w), with c_n(w) the number of
+    n-subsets of m+ of weight w, from a subset-sum table over m+.
+
+    None once the table holds more than ``cap`` pairs (n, w): each pair is
+    at least the monomial P + (-P) for one n-subset P of weight w, so then
+    there are more than ``cap`` weight-zero monomials in all."""
+    table: dict[tuple, int] = {(0, (0,) * levi.rs.rank): 1}
+    for root in levi.m_positive:
+        for (n, w), c in list(table.items()):
+            key = (n + 1, tuple(map(sum, zip(w, root))))
+            table[key] = table.get(key, 0) + c
+        if len(table) > cap:
+            return None
+    by_weight: dict[tuple, dict[int, int]] = {}
+    for (n, w), c in table.items():
+        by_weight.setdefault(w, {})[n] = c
+    counts = [0] * (levi.dim_m() + 1)
+    for sizes in by_weight.values():
+        for n, c in sizes.items():
+            for n2, c2 in sizes.items():
+                counts[n + n2] += c * c2
+    return counts
+
+
 def _signature(levi: LeviDatum, basis: ChevalleyBasis, monomial) -> tuple:
     return tuple(
         sorted(levi.project(basis.root_order[i - basis.rank]) for i in monomial)
@@ -78,14 +118,21 @@ def _signature(levi: LeviDatum, basis: ChevalleyBasis, monomial) -> tuple:
 
 def _levi_rows(basis: ChevalleyBasis, generators, columns, place) -> dict:
     """Stacked rows {(generator, image): {column: coefficient}} of the Levi
-    root vectors (basis indices) acting as derivations on index-tuple columns.
+    root vectors (basis indices) acting as derivations on index-tuple columns,
+    times the basis-wide bracket_denominator, so every entry is an int; a
+    row scaled by a nonzero constant keeps its kernel.
     ``place(t, slot, target)`` puts a bracket output into slot ``slot`` of ``t``
     as ``(sign, image)``, or gives None when the image vanishes.  A Levi root
     plus a tangent root is never 0, so no Cartan images occur."""
-    rows: dict[tuple, dict[int, Fraction]] = {}
+    scale = basis.bracket_denominator
+    rows: dict[tuple, dict[int, int]] = {}
     indices = {idx for t in columns for idx in t}
     for x in generators:
-        brackets = {idx: basis.bracket_index(x, idx) for idx in indices}
+        brackets = {
+            idx: [(z, f.numerator * (scale // f.denominator))
+                  for z, f in basis.bracket_index(x, idx)]
+            for idx in indices
+        }
         for j, t in enumerate(columns):
             for slot, idx in enumerate(t):
                 for target, coeff in brackets[idx]:
@@ -94,9 +141,7 @@ def _levi_rows(basis: ChevalleyBasis, generators, columns, place) -> dict:
                         continue
                     sign, image = placed
                     row = rows.setdefault((x, image), {})
-                    c = coeff if sign > 0 else -coeff
-                    # a first entry is stored as is, not as the Fraction sum 0 + c
-                    row[j] = row[j] + c if j in row else c
+                    row[j] = row.get(j, 0) + (coeff if sign > 0 else -coeff)
     return rows
 
 
@@ -150,26 +195,48 @@ def invariant_basis(
     return vectors
 
 
-def _owner_coordinates(
-    vectors: list[Multivector], images
-) -> list[dict[int, GaussianRational]]:
-    """Sparse coordinates {position: coefficient}, by increasing position, of
-    each image (a terms dict) in an invariant_basis list: the coordinate of
-    vector i is the image's coefficient at the monomial that vector owns.
-    Each image must equal its combination term for term, so an image outside
-    the span, or a wrong owner, raises instead of giving wrong coordinates."""
+def _owned_numerators(vectors: list[Multivector]) -> tuple[int, dict, list[dict]]:
+    """An invariant_basis list over one common denominator L: (L, {owned
+    monomial: position}, numerators), vector i being numerators[i] / L with
+    numerators[i] a map {monomial: (re, im)}; it is L at the monomial it
+    owns."""
+    nums = [_gaussian_numerators(v.terms) for v in vectors]
+    den = lcm(*(d for d, _ in nums))
     owner = {next(iter(v.terms)): i for i, v in enumerate(vectors)}
-    out = []
-    for img in images:
+    return den, owner, [_scaled(terms, den // d) for d, terms in nums]
+
+
+def _scaled(terms: dict, f: int) -> dict:
+    """{key: (re, im)} times the positive int f."""
+    if f == 1:
+        return terms
+    return {key: (re * f, im * f) for key, (re, im) in terms.items()}
+
+
+def _owner_columns(owned, images) -> tuple[int, list[dict]]:
+    """Coordinates in an invariant basis, given by _owned_numerators, of the
+    images (D, {monomial: (re, im)}), as sparse columns {position: (re, im)}
+    by increasing position over one positive denominator M: (M, columns).
+    The coordinate of vector i is the image's coefficient at the monomial
+    that vector owns.  Each image must equal its combination term for term,
+    so an image outside the span, or a wrong owner, raises instead of giving
+    wrong coordinates."""
+    den, owner, vectors = owned
+    cols = []
+    for d, img in images:
         coords = dict(sorted((owner[m], c) for m, c in img.items() if m in owner))
+        # with vector i = W_i / L and the image N / D, the combination is
+        # sum_i N[owner_i] W_i / (D L): it must equal L N term for term
         combo: dict = {}
-        for i, c in coords.items():
-            for m, b in vectors[i].terms.items():
-                combo[m] = combo[m] + c * b if m in combo else c * b
-        if {m: c for m, c in combo.items() if c} != img:
+        for i, (cr, ci) in coords.items():
+            for m, (br, bi) in vectors[i].items():
+                xr, xi = combo.get(m, (0, 0))
+                combo[m] = (xr + cr * br - ci * bi, xi + cr * bi + ci * br)
+        if {m: x for m, x in combo.items() if x != (0, 0)} != _scaled(img, den):
             raise InternalInvariantError("image fell outside the invariant space")
-        out.append(coords)
-    return out
+        cols.append((d, coords))
+    common = lcm(*(d for d, _ in cols))
+    return common, [_scaled(coords, common // d) for d, coords in cols]
 
 
 def invariant_dimension(levi: LeviDatum, basis: ChevalleyBasis, k: int) -> int:
@@ -200,22 +267,27 @@ def theta_split(
     if not vectors:
         return [], []
     n = len(vectors)
-    t_rows: list[dict] = [{} for _ in range(n)]  # the matrix T of theta
-    images = (theta_apply(basis, v).terms for v in vectors)
-    for j, col in enumerate(_owner_coordinates(vectors, images)):
+    images = (_gaussian_numerators(theta_apply(basis, v).terms) for v in vectors)
+    den, cols = _owner_columns(_owned_numerators(vectors), images)
+    t_rows: list[dict] = [{} for _ in range(n)]  # the matrix den * T of theta
+    for j, col in enumerate(cols):
         for i, c in col.items():
             t_rows[i][j] = c
 
-    def shifted(s) -> list[dict]:  # rows of T + s*I
-        return [{**row, i: row.get(i, 0) + s} for i, row in enumerate(t_rows)]
+    def shifted(s) -> list[dict]:  # rows of den * (T + s*I)
+        rows = []
+        for i, row in enumerate(t_rows):
+            re, im = row.get(i, (0, 0))
+            rows.append({**row, i: (re + s * den, im)})
+        return rows
 
     degree = vectors[0].degree
 
     def combine(kern) -> Multivector:
         return sum((vectors[j].scale(c) for j, c in kern.items()), Multivector.zero(degree))
 
-    plus = [combine(kern) for kern in kernel_basis(shifted(-Fraction(1)), n)]
-    minus = [combine(kern) for kern in kernel_basis(shifted(Fraction(1)), n)]
+    plus = [combine(kern) for kern in kernel_basis(shifted(-1), n)]
+    minus = [combine(kern) for kern in kernel_basis(shifted(1), n)]
     if len(plus) + len(minus) != n:
         raise InternalInvariantError("theta eigensplit dimensions do not add up")
     return plus, minus
@@ -225,8 +297,11 @@ class InvariantComplex:
     """The invariant polyvector complex of an orbit with the differential
     given by the projected Schouten bracket with a fixed bivector.
 
-    The differential squares to zero exactly; this is asserted during
-    construction of each consecutive pair of matrices."""
+    Each delta_k is kept as M_k = L_k delta_k: Gaussian-integer numerators
+    over one positive denominator L_k per degree, which is dropped, since
+    neither a rank nor a zero product depends on it.  The differential
+    squares to zero exactly; this is asserted on the numerators for each
+    consecutive pair of matrices."""
 
     def __init__(self, levi: LeviDatum, basis: ChevalleyBasis, v: InvariantBivector):
         self.levi = levi
@@ -245,11 +320,12 @@ class InvariantComplex:
     def differential(self, u: Multivector) -> Multivector:
         return schouten(self.basis, self._vmv, u, self.levi, u_groups=self._vmv_groups)
 
-    def delta_matrix(self, k: int) -> list[dict[int, GaussianRational]]:
-        """Sparse columns {position: coefficient}: the images of the
-        degree-k basis in degree-(k+1) coordinates."""
-        images = (self.differential(u).terms for u in self.basis_at(k))
-        return _owner_coordinates(self.basis_at(k + 1), images)
+    def delta_matrix(self, k: int) -> list[dict[int, tuple[int, int]]]:
+        """Sparse columns {position: (re, im)} of M_k = L_k delta_k: the
+        images of the degree-k basis in degree-(k+1) coordinates, times one
+        positive int L_k."""
+        images = (_gaussian_numerators(self.differential(u).terms) for u in self.basis_at(k))
+        return _owner_columns(_owned_numerators(self.basis_at(k + 1)), images)[1]
 
     def betti_numbers(self) -> list[int]:
         dim_m = self.levi.dim_m()
@@ -263,13 +339,15 @@ class InvariantComplex:
         ]
 
     def _assert_square_zero(self, k: int, prev_cols, cols) -> None:
-        # matrix product delta_k . delta_{k-1} must vanish entrywise
+        # M_k . M_{k-1}, a positive multiple of delta_k . delta_{k-1}, must
+        # vanish entrywise
         for col in prev_cols:
-            acc: dict[int, GaussianRational] = {}
-            for j, cj in col.items():
-                for i, c in cols[j].items():
-                    acc[i] = acc.get(i, 0) + cj * c
-            if any(acc.values()):
+            acc: dict[int, tuple[int, int]] = {}
+            for j, (a, b) in col.items():
+                for i, (c, d) in cols[j].items():
+                    xr, xi = acc.get(i, (0, 0))
+                    acc[i] = (xr + a * c - b * d, xi + a * d + b * c)
+            if any(x != (0, 0) for x in acc.values()):
                 raise InternalInvariantError(
                     f"differential does not square to zero at degree {k - 1}"
                 )

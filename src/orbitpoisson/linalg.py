@@ -1,11 +1,17 @@
 """Exact sparse linear algebra over the rationals and the Gaussian rationals.
 
-Input rows are sparse maps column -> coefficient (int, Fraction or
-GaussianRational); columns may be ints or tuples (one kind per matrix).
-Each row is converted once, on entry, to Gaussian-integer numerators over one
-positive denominator in lowest terms: ``(D, re, im)`` with ``re`` and ``im``
-sparse maps column -> nonzero int, the entry at a column being
-``(re + im*i) / D``.  Real data leaves every ``im`` empty, so it does no
+Input rows are sparse maps column -> entry; columns may be ints or tuples
+(one kind per matrix).  An entry is one of
+- an int;
+- a Fraction;
+- a GaussianRational;
+- an ``(re, im)`` pair of ints, the Gaussian integer ``re + im*i``.
+Each row is converted once, on entry, to Gaussian-integer numerators over
+one positive denominator in lowest terms: ``(D, re, im)`` with ``re`` and
+``im`` sparse maps column -> nonzero int, the entry at a column being
+``(re + im*i) / D``.  A row of ints and pairs is read as it is, over D = 1;
+a row with a Fraction or a GaussianRational is brought to the lcm of its
+denominators.  Real data leaves every ``im`` empty, so it does no
 Gaussian work.  Clearing column c of a row r with the pivot row p of c is
 the integer-preserving step of Bareiss (Math. Comp. 22, 1968),
 ``r <- D_p * r - r[c] * p``, followed by division by the gcd of the
@@ -76,20 +82,38 @@ class Echelon:
 
 
 def _numerators(row: dict) -> tuple[int, dict, dict]:
-    """The row as (D, re, im) in lowest terms, zero entries dropped."""
-    re_part, im_part = {}, {}  # column -> (numerator, denominator)
+    """The row as (D, re, im) in lowest terms, zero entries dropped.  A row
+    of ints and (re, im) pairs is already numerators over D = 1."""
+    re, im, values = {}, {}, {}
     for c, v in row.items():
+        if type(v) is tuple:
+            if v[0]:
+                re[c] = v[0]
+            if v[1]:
+                im[c] = v[1]
+        elif type(v) is int:
+            if v:
+                re[c] = v
+        elif v:
+            values[c] = v
+    if not values:
+        return 1, re, im
+    parts = []  # (imaginary, column, numerator, denominator)
+    for c, v in values.items():
         if isinstance(v, GaussianRational):
             if v.re:
-                re_part[c] = v.re.as_integer_ratio()
+                parts.append((False, c, *v.re.as_integer_ratio()))
             if v.im:
-                im_part[c] = v.im.as_integer_ratio()
-        elif v:
-            re_part[c] = v.as_integer_ratio()
-    d = lcm(*(q for _, q in re_part.values()), *(q for _, q in im_part.values()))
+                parts.append((True, c, *v.im.as_integer_ratio()))
+        else:
+            parts.append((False, c, *v.as_integer_ratio()))
+    d = lcm(*(q for *_, q in parts))
     # with D the lcm of the denominators, no prime divides D and every numerator
-    re = {c: n * (d // q) for c, (n, q) in re_part.items()}
-    im = {c: n * (d // q) for c, (n, q) in im_part.items()}
+    if d != 1:
+        re = {c: n * d for c, n in re.items()}
+        im = {c: n * d for c, n in im.items()}
+    for imaginary, c, n, q in parts:
+        (im if imaginary else re)[c] = n * (d // q)
     return d, re, im
 
 

@@ -230,6 +230,18 @@ def schouten(basis: ChevalleyBasis, u: Multivector, v: Multivector,
     return out
 
 
+def _gaussian_numerators(terms: dict) -> tuple[int, dict]:
+    """The common denominator D of the coefficients of a terms dict, the lcm
+    of their denominators, and {key: (re, im)} in the order of ``terms``,
+    with (re + im*i) / D the coefficient at ``key``."""
+    den = lcm(*(d for c in terms.values() for d in (c.re.denominator, c.im.denominator)))
+    return den, {
+        key: (c.re.numerator * (den // c.re.denominator),
+              c.im.numerator * (den // c.im.denominator))
+        for key, c in terms.items()
+    }
+
+
 def _grouped_splits(
     w: Multivector, banned: frozenset[int]
 ) -> tuple[int, list[tuple[int, list]]]:
@@ -239,11 +251,9 @@ def _grouped_splits(
     key), ...]) with terms in the order of w and (re + im*i) / D the
     coefficient. The group order does not depend on ``banned``, which keeps
     a projected bracket in the term order of the full one."""
-    den = lcm(*(d for c in w.terms.values() for d in (c.re.denominator, c.im.denominator)))
+    den, nums = _gaussian_numerators(w.terms)
     groups: dict[int, list] = {}
-    for key, c in w.terms.items():
-        num = (c.re.numerator * (den // c.re.denominator),
-               c.im.numerator * (den // c.im.denominator))
+    for key, num in nums.items():
         for p, x in enumerate(key):
             rest = key[:p] + key[p + 1 :]
             if banned.isdisjoint(rest):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 from orbitpoisson.cli import EXIT_CONFIG, EXIT_OK, EXIT_WITNESS, main
@@ -121,6 +122,22 @@ def test_bad_inputs_exit_config(capsys):
     assert main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == "" and "2903040 cosets" in captured.err
+    # refused by the weight-zero monomial count before the complex is built:
+    # 56 cosets pass the oracle, but the subset-sum table outgrows the limit
+    started = time.perf_counter()
+    argv = ["cohomology", "E", "7", "--gamma", "1,2,3,4,5,6", "--mode", "kks", "--lambda", "1"]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "more than 30000 weight-zero monomials" in captured.err
+    assert time.perf_counter() - started < 5
+    # the exact count when the table stays within the limit; A2 has 10 in all
+    argv = ["cohomology", "A", "2", "--mode", "kks", "--lambda", "1,2", "--max-monomials", "9"]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "10 weight-zero monomials exceed 9" in captured.err
+    argv[-1] = "10"
+    assert main(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["result"]["match"] is True
 
 
 def test_config_file(tmp_path, capsys):

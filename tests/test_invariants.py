@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -22,6 +23,8 @@ from orbitpoisson import (
     kks,
     phi,
     project_to_m,
+    realize,
+    schouten,
     solve_compatible,
     solve_recursion,
     tensor_multiplicity,
@@ -138,8 +141,11 @@ def test_levi_rows_on_wedges_match_ad_action(orbit):
                 x = tb.index_of_root[root]
                 rows = invariants._levi_rows(tb, [x], [m], invariants._wedge_place)
                 images = {image: row[0] for (_, image), row in rows.items() if row[0]}
+                assert all(type(c) is int for c in images.values())
+                # the rows are the action times the basis-wide bracket denominator
                 mono = Multivector(k, {m: GaussianRational(1)})
-                assert images == ad_action(tb, tb.root_vector(root), mono).terms
+                action = ad_action(tb, tb.root_vector(root), mono).terms
+                assert images == {key: c * tb.bracket_denominator for key, c in action.items()}
             if not roots:
                 assert invariants._levi_rows(tb, [], [m], invariants._wedge_place) == {}
 
@@ -220,6 +226,18 @@ def test_weyl_coset_count_refuses_before_the_walk():
     assert weyl_coset_count(get_rs("E", 8), ()) == 696729600  # |W(E8)|
     with pytest.raises(WeylBoundExceeded, match="696729600 cosets"):
         de_rham_betti(get_rs("E", 8), ())
+
+
+@pytest.mark.parametrize("orbit", [("A", 2, ()), ("D", 4, (1, 2)), ("G", 2, ())] + BENCH_ORBITS,
+                         ids=orbit_id)
+def test_weight_zero_counts_match_the_enumeration(orbit):
+    t, r, gamma = orbit
+    levi, tb = get_levi(t, r, gamma), get_basis(t, r)
+    counts = invariants.weight_zero_counts(levi, 10**6)
+    assert counts == [len(weight_zero_monomials(levi, tb, k)) for k in range(levi.dim_m() + 1)]
+    # the table has more than 10 pairs (n, w) only if there are more than 10
+    # monomials in all
+    assert (invariants.weight_zero_counts(levi, 10) is None) <= (sum(counts) > 10)
 
 
 def test_de_rham_euler_is_weyl_quotient():
@@ -314,6 +332,34 @@ def test_a_wrong_owner_raises(monkeypatch):
         InvariantComplex(levi, tb, v).betti_numbers()
 
 
+class _TwoFormComplex(InvariantComplex):
+    """A differential that brackets with the complex's own bivector in even
+    degrees and with the bivector of a second form in odd degrees."""
+
+    def __init__(self, levi, tb, v, w):
+        super().__init__(levi, tb, v)
+        self._other = realize(w, tb)
+
+    def differential(self, u):
+        if u.degree % 2 == 0:
+            return super().differential(u)
+        return schouten(self.basis, self._other, u, self.levi)
+
+
+@pytest.mark.parametrize("gamma, lam, other, degree", [
+    ((), (1, 2, 3), (1, 1, 5), 2),
+    ((2,), (1, 1), (1, 3), 3),
+])
+def test_a_differential_that_does_not_square_to_zero_raises(gamma, lam, other, degree):
+    # each half is a cocycle condition of a verified bivector, but two
+    # non-proportional forms do not make a complex
+    levi, tb = get_levi("A", 3, gamma), get_basis("A", 3)
+    v, w = kks(levi, LinearForm(levi, lam)), kks(levi, LinearForm(levi, other))
+    message = f"differential does not square to zero at degree {degree}$"
+    with pytest.raises(InternalInvariantError, match=message):
+        _TwoFormComplex(levi, tb, v, w).betti_numbers()
+
+
 def test_the_complex_solves_no_span(monkeypatch):
     def refuse(*args):
         raise AssertionError("a SpanSolver was used")
@@ -397,14 +443,25 @@ def test_theta_anticommutes_with_delta(orbit, mode):
         v = outcome.solution
     complex_ = InvariantComplex(levi, tb, v)
 
-    def theta_matrix(k):
-        vectors = complex_.basis_at(k)
-        images = (theta_apply(tb, u).terms for u in vectors)
-        return invariants._owner_coordinates(vectors, images)
+    def values(den, cols) -> list[dict]:
+        return [{i: GaussianRational(Fraction(re, den), Fraction(im, den))
+                 for i, (re, im) in col.items()} for col in cols]
 
+    def theta_matrix(k):
+        images = (
+            invariants._gaussian_numerators(theta_apply(tb, u).terms)
+            for u in complex_.basis_at(k)
+        )
+        owned = invariants._owned_numerators(complex_.basis_at(k))
+        return values(*invariants._owner_columns(owned, images))
+
+    # delta_matrix gives L_k D_k for a positive int L_k, and both sides of the
+    # identity are linear in D_k
     theta = theta_matrix(0)
     for k in range(levi.dim_m() + 1):
-        delta, theta_next = complex_.delta_matrix(k), theta_matrix(k + 1)
+        columns = complex_.delta_matrix(k)
+        assert all(type(x) is int for col in columns for entry in col.values() for x in entry)
+        delta, theta_next = values(1, columns), theta_matrix(k + 1)
         minus = [{i: -c for i, c in col.items()} for col in _product(theta_next, delta)]
         assert _product(delta, theta) == minus, k
         theta = theta_next

@@ -1,6 +1,7 @@
 import copy
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -101,6 +102,23 @@ def test_elimination_matches_dense_reference(gaussian):
             assert {c: vec.get(c, 0) for c in free} == {c: int(c == col) for c in free}
             for row in rows:
                 assert sum((v * vec.get(c, 0) for c, v in row.items()), Fraction(0)) == 0
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["Q", "Q(i)"])
+def test_integer_pair_rows_match_their_values(gaussian):
+    # an (re, im) pair is the Gaussian integer re + im*i; a row times a
+    # positive int has the same kernel and the same fully reduced pivots
+    rng = random.Random(20261020)
+    for _ in range(40):
+        ncols = rng.randint(1, 9)
+        rows = _random_rows(rng, rng.randint(0, 10), ncols, gaussian)
+        pairs = []
+        for row in rows:
+            values = {c: GaussianRational(v) for c, v in row.items()}
+            d = lcm(*(x.denominator for v in values.values() for x in (v.re, v.im)))
+            pairs.append({c: (int(v.re * d), int(v.im * d)) for c, v in values.items()})
+        assert rank_of(pairs) == rank_of(rows)
+        assert kernel_basis(pairs, ncols) == kernel_basis(rows, ncols)
 
 
 def test_integer_rows_give_fraction_kernels():

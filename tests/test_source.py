@@ -78,6 +78,25 @@ def test_elimination_kernel_runs_on_numerators():
     assert [(fn, name) for fn, name in sorted(called) if name in made] == []
 
 
+def test_delta_columns_run_on_numerators():
+    # the Levi rows, the owner read-off with its exact check, and the
+    # d^2 check run on ints and (re, im) int pairs: none of them makes a value
+    tree = ast.parse((SRC / "invariants.py").read_text(encoding="utf-8"))
+    names = {"_levi_rows", "_owned_numerators", "_owner_columns", "delta_matrix",
+             "_assert_square_zero"}
+    functions = {n.name: n for n in ast.walk(tree)
+                 if isinstance(n, ast.FunctionDef) and n.name in names}
+    assert set(functions) == names
+    made = {"Fraction", "GaussianRational", "_gq", "as_scalar"}
+    found = sorted(
+        (name, n.id)
+        for name, fn in functions.items()
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Name) and n.id in made
+    )
+    assert found == []
+
+
 def test_invariants_never_apply_ad_action():
     # every invariant space is solved as the joint kernel of the Levi root
     # vectors, so nothing applies them again at run time
