@@ -7,13 +7,17 @@ sum c(q) E_alpha ^ E_{-alpha}, one coefficient per positive quasiroot class q.
 Conditions on such tensors reduce to per-quasiroot-pair scalar equations; the
 solvers work at that level and every solution is re-verified against the full
 exterior-algebra computation, so each result carries two independent exact
-proofs.
+proofs.  The linear form is kept as Gaussian-integer numerators over one
+common denominator, so its vanishing check and its values need no rational
+arithmetic until a value is returned.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 
 from .chevalley import ChevalleyBasis
 from .levi import (
@@ -24,6 +28,7 @@ from .levi import (
 )
 from .multivec import (
     Multivector,
+    _gaussian_numerators,
     ad_action,
     diagonal_bivector,
     phi,
@@ -40,7 +45,7 @@ from .roots import (
     negate,
     sub,
 )
-from .scalars import GaussianRational, as_scalar
+from .scalars import GaussianRational, _gq, as_scalar
 
 
 class LinearForm:
@@ -48,27 +53,34 @@ class LinearForm:
 
     Values are given at the simple quasiroots (one per simple root outside
     Gamma, in Bourbaki order) and extended by linearity.  Vanishing on any
-    quasiroot is rejected at construction time.
+    quasiroot is rejected at construction time.  ``values`` keeps the given
+    Gaussian rationals; the form itself is kept as Gaussian-integer
+    numerators over their common denominator, so evaluating it is two integer
+    dot products.
     """
 
     def __init__(self, levi: LeviDatum, values):
-        vals = [as_scalar(v) for v in values]
+        vals = tuple(as_scalar(v) for v in values)
         if len(vals) != len(levi.free_positions):
             raise ValueError(
                 f"expected {len(levi.free_positions)} values, got {len(vals)}"
             )
         self.levi = levi
-        self.values = tuple(vals)
+        self.values = vals
+        self._den, nums = _gaussian_numerators(dict(enumerate(vals)))
+        self._re = re = tuple(n[0] for n in nums.values())
+        self._im = im = tuple(n[1] for n in nums.values())
         for q in levi.positive_quasiroots:
-            if not self(q):
+            if not (sum(map(mul, q, re)) or sum(map(mul, q, im))):
                 raise ValueError(f"linear form vanishes on quasiroot {q}")
 
     def __call__(self, q: Quasiroot) -> GaussianRational:
-        total = as_scalar(0)
-        for coord, v in zip(q, self.values):
-            if coord:
-                total = total + coord * v
-        return total
+        if len(q) != len(self._re):
+            raise ValueError(
+                f"expected a quasiroot of length {len(self._re)}, got {len(q)}"
+            )
+        return _gq(Fraction(sum(map(mul, q, self._re)), self._den),
+                   Fraction(sum(map(mul, q, self._im)), self._den))
 
     def __repr__(self):
         vals = ", ".join(str(v) for v in self.values)
@@ -390,7 +402,9 @@ def find_inconsistency_witness(levi: LeviDatum) -> Witness | None:
         after.setdefault(a, []).append(b)
     pairs = set(levi.pairs)
     # x, y run in set order and z, w in positive order: the first hit is the
-    # witness the CLI reports
+    # witness the CLI reports. Set order depends on how the set is built, not
+    # only on its members: built from a dict instead of the tuple levi.pairs,
+    # it gives another D5 witness. The CLI digests pin the witnesses.
     for x, y in pairs:
         xy = add(x, y)
         for z in after.get(y, ()):

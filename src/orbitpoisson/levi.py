@@ -26,18 +26,19 @@ class LeviDatum:
         self.rs = rs
         self.gamma = gamma
         self.free_positions = tuple(i for i in range(1, rs.rank + 1) if i not in gamma)
-        self._free0 = tuple(i - 1 for i in self.free_positions)
+        self._free0 = free0 = tuple(i - 1 for i in self.free_positions)
 
         self.omega_gamma = frozenset(
-            r for r in rs.roots if all(r[i] == 0 for i in self._free0)
+            r for r in rs.roots if not any(map(r.__getitem__, free0))
         )
         self.m_roots = frozenset(rs.roots - self.omega_gamma)
-        self.m_positive = tuple(
-            sorted((r for r in self.m_roots if min(r) >= 0), key=rs._sort_key)
-        )
+        # the root system's order, restricted to m: by height, so the negative
+        # roots (half of m) come first
+        m_sorted = [r for r in rs.all_roots_sorted() if any(map(r.__getitem__, free0))]
+        self.m_positive = tuple(m_sorted[len(m_sorted) // 2 :])
 
         classes: dict[Quasiroot, list[Coords]] = {}
-        for r in sorted(self.m_roots, key=rs._sort_key):
+        for r in m_sorted:
             q = self.project(r)
             classes.setdefault(q, []).append(r)
         self.classes = {q: tuple(rs_) for q, rs_ in classes.items()}
@@ -64,7 +65,7 @@ class LeviDatum:
 
     def project(self, root: Coords) -> Quasiroot:
         """Coordinate restriction to the positions outside Gamma."""
-        return tuple(root[i] for i in self._free0)
+        return tuple(map(root.__getitem__, self._free0))
 
     def dim_m(self) -> int:
         return len(self.m_roots)

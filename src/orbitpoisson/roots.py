@@ -12,6 +12,7 @@ coefficient-1 end nodes of E6 are alpha_1 and alpha_6.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 Coords = tuple[int, ...]
@@ -124,9 +125,8 @@ class RootSystem:
             tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)
         )
         self.roots = self._generate()
-        self.positive_roots = tuple(
-            sorted((r for r in self.roots if min(r) >= 0), key=self._sort_key)
-        )
+        self._sorted_roots = tuple(sorted(self.roots, key=self._sort_key))
+        self.positive_roots = tuple(r for r in self._sorted_roots if min(r) >= 0)
         self._root_set = frozenset(self.roots)
         self._positive_set = frozenset(self.positive_roots)
         expected = ROOT_COUNTS[type_label](rank)
@@ -155,7 +155,7 @@ class RootSystem:
                 if img not in found:
                     found.add(img)
                     queue.append(img)
-        return frozenset(found) | frozenset(tuple(-c for c in r) for r in found)
+        return frozenset(found) | frozenset(map(negate, found))
 
     # -- exact geometry -------------------------------------------------------
 
@@ -182,7 +182,8 @@ class RootSystem:
         return total
 
     def all_roots_sorted(self) -> tuple[Coords, ...]:
-        return tuple(sorted(self.roots, key=self._sort_key))
+        """Every root, by height and then lexicographically."""
+        return self._sorted_roots
 
     def __repr__(self):
         return f"RootSystem({self.type_label}{self.rank}, {len(self.roots)} roots)"
@@ -199,12 +200,12 @@ def highest_root_coefficients(rs: RootSystem) -> dict[int, int]:
 
 
 def negate(root: Coords) -> Coords:
-    return tuple(-c for c in root)
+    return tuple(map(operator.neg, root))
 
 
 def add(a: Coords, b: Coords) -> Coords:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def sub(a: Coords, b: Coords) -> Coords:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))

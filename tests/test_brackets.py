@@ -24,7 +24,7 @@ from orbitpoisson import (
 )
 from orbitpoisson.linalg import rank_of
 from orbitpoisson.roots import negate
-from orbitpoisson.scalars import GaussianRational, parse_scalar
+from orbitpoisson.scalars import GaussianRational, as_scalar, parse_scalar
 
 from conftest import get_basis, get_levi, get_rs
 
@@ -37,6 +37,54 @@ def test_linear_form_rejects_vanishing():
         LinearForm(levi, [1, -1])  # vanishes on the sum quasiroot
     lam = LinearForm(levi, [1, 2])
     assert lam((1, 1)) == 3
+
+
+def test_linear_form_rejects_an_argument_of_the_wrong_length():
+    # zip and map stop at the shorter input, so a short or long argument
+    # would otherwise be cut silently
+    lam = LinearForm(get_levi("A", 3), [1, 2, 3])
+    with pytest.raises(ValueError, match="length 3"):
+        lam((1,))
+    lam = LinearForm(get_levi("A", 3, (2,)), [1, 5])
+    with pytest.raises(ValueError, match="length 2"):
+        lam((1, 1, 1))  # a full root where a quasiroot belongs
+
+
+def _form_reference(q, values):
+    """Sum of coord * value in GaussianRational arithmetic."""
+    total = GaussianRational(0)
+    for coord, v in zip(q, values, strict=True):
+        total = total + coord * v
+    return total
+
+
+def test_linear_form_matches_gaussian_reference():
+    draws = [parse_scalar(s) for s in ("1/2+i", "-3/4", "2*i", "7/3-1/5*i")]
+    draws += list(range(-3, 4))
+    rng = random.Random(5)
+    seen = {True: 0, False: 0}
+    for t, r in [("A", 4), ("B", 3), ("D", 4), ("G", 2), ("F", 4), ("E", 6)]:
+        for gamma in [(), (1,), (2,)]:
+            levi = get_levi(t, r, gamma)
+            for _ in range(8):
+                values = [rng.choice(draws) for _ in levi.free_positions]
+                vanishes = any(
+                    not _form_reference(q, values) for q in levi.positive_quasiroots
+                )
+                seen[vanishes] += 1
+                if vanishes:
+                    with pytest.raises(ValueError, match="vanishes"):
+                        LinearForm(levi, values)
+                    continue
+                lam = LinearForm(levi, values)
+                assert lam.values == tuple(as_scalar(v) for v in values)
+                for q in levi.quasiroots:
+                    assert lam(q) == _form_reference(q, values), (t, r, gamma, q)
+    assert seen[True] and seen[False]
+    a2 = get_levi("A", 2)
+    for values in ([1, -1], [I, -I]):
+        with pytest.raises(ValueError, match="vanishes"):
+            LinearForm(a2, values)
 
 
 def test_invariant_bivector_keys_checked():

@@ -1,3 +1,5 @@
+from itertools import chain, combinations
+
 import pytest
 
 from orbitpoisson import (
@@ -137,3 +139,33 @@ def test_quasiroot_type_detection():
 def test_chain_tie_break_starts_low():
     verdict = quasiroot_system_type(get_levi("A", 3))
     assert verdict.chain[0] == (1, 0, 0)
+
+
+def _levi_reference(rs, gamma):
+    """The sort-based construction of the Levi data: m_positive, classes,
+    positive_quasiroots and simple_quasiroots."""
+    free0 = [i - 1 for i in range(1, rs.rank + 1) if i not in gamma]
+    omega = frozenset(r for r in rs.roots if all(r[i] == 0 for i in free0))
+    m_roots = rs.roots - omega
+    m_positive = tuple(sorted((r for r in m_roots if min(r) >= 0), key=rs._sort_key))
+    classes = {}
+    for r in sorted(m_roots, key=rs._sort_key):
+        classes.setdefault(tuple(r[i] for i in free0), []).append(r)
+    positive = tuple(sorted((q for q in classes if min(q) >= 0), key=lambda q: (sum(q), q)))
+    simple = tuple(tuple(rs.simple_roots[j][i] for i in free0) for j in free0)
+    return omega, m_positive, {q: tuple(m) for q, m in classes.items()}, positive, simple
+
+
+def test_levi_datum_matches_sorted_reference():
+    algebras = [("A", n) for n in range(2, 6)] + [("B", n) for n in range(2, 5)]
+    algebras += [("C", 3), ("C", 4), ("D", 4), ("D", 5), ("G", 2), ("F", 4), ("E", 6)]
+    for t, r in algebras:
+        rs = get_rs(t, r)
+        for gamma in chain.from_iterable(combinations(range(1, r + 1), k) for k in range(r + 1)):
+            levi = build_levi(rs, gamma)
+            omega, m_positive, classes, positive, simple = _levi_reference(rs, gamma)
+            assert levi.omega_gamma == omega, (t, r, gamma)
+            assert levi.m_positive == m_positive, (t, r, gamma)
+            assert list(levi.classes.items()) == list(classes.items()), (t, r, gamma)
+            assert levi.positive_quasiroots == positive, (t, r, gamma)
+            assert levi.simple_quasiroots == simple, (t, r, gamma)
