@@ -192,6 +192,8 @@ def schouten(basis: ChevalleyBasis, u: Multivector, v: Multivector,
         for y, splits_b in groups_b:
             # the table is read in increasing index order; [X_y, X_x] = -[X_x, X_y]
             br = basis.bracket_index(x, y) if x < y else basis.bracket_index(y, x)
+            if not br:
+                continue
             flip = -1 if x > y else 1
             br = [
                 (z, flip * f.numerator * (scale // f.denominator))

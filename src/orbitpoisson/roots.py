@@ -8,12 +8,20 @@ Some references number the D_n and E6 diagrams differently (for instance
 putting the three branch ends of D_n first); here the D_n branch ends are
 alpha_1, alpha_{n-1}, alpha_n and the E6 branch node is alpha_4, so the two
 coefficient-1 end nodes of E6 are alpha_1 and alpha_6.
+
+Each root also has an additive integer key, key(c) = sum_i c_i B^i with the
+base B = 4 max(highest root) + 1 (``RootSystem.key``).  The coordinates of a
+root, and of a sum or difference of two roots, lie in [-2h, 2h] for the
+largest highest-root coefficient h, and B > 4h makes the key one-to-one on
+such vectors: key(a + b) = key(a) + key(b), so "is a + b a root" is one int
+addition and one lookup.  The sign of a root's key is the sign of the root.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import lcm
 
 Coords = tuple[int, ...]
 
@@ -115,6 +123,11 @@ class RootSystem:
             [Fraction(self.cartan[i][j]) * d[j] for j in range(rank)]
             for i in range(rank)
         ]
+        # the form as ints over one common denominator, for inner
+        self._form_den = lcm(*(di.denominator for di in d))
+        self._form_num = [
+            [int(b * self._form_den) for b in row] for row in self.bilinear_form
+        ]
         for i in range(rank):
             for j in range(rank):
                 if self.bilinear_form[i][j] != self.bilinear_form[j][i]:
@@ -135,6 +148,7 @@ class RootSystem:
                 f"{type_label}{rank}: generated {len(self.roots)} roots, expected {expected}"
             )
         self.highest_root = max(self.positive_roots, key=self._sort_key)
+        self.key_base = 4 * max(self.highest_root) + 1
         for r in self.roots:
             if any(h < c for h, c in zip(self.highest_root, r)):
                 raise InternalInvariantError(
@@ -170,16 +184,19 @@ class RootSystem:
         return tuple(out)
 
     def inner(self, beta: Coords, gamma: Coords) -> Fraction:
-        B = self.bilinear_form
-        total = Fraction(0)
-        for i, bi in enumerate(beta):
-            if not bi:
-                continue
-            row = B[i]
-            for j, gj in enumerate(gamma):
-                if gj:
-                    total += bi * gj * row[j]
-        return total
+        """(beta, gamma): an int dot product over the form's common denominator."""
+        B = self._form_num
+        total = sum(
+            bi * sum(map(operator.mul, B[i], gamma)) for i, bi in enumerate(beta) if bi
+        )
+        return Fraction(total, self._form_den)
+
+    def key(self, root: Coords) -> int:
+        """The additive key sum_i root[i] * key_base**i (see the module docstring)."""
+        k = 0
+        for c in reversed(root):
+            k = k * self.key_base + c
+        return k
 
     def all_roots_sorted(self) -> tuple[Coords, ...]:
         """Every root, by height and then lexicographically."""

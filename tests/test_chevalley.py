@@ -5,7 +5,11 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
-from orbitpoisson.roots import add, negate
+import pytest
+
+from orbitpoisson import build_chevalley_basis, build_root_system
+from orbitpoisson.multivec import phi
+from orbitpoisson.roots import InternalInvariantError, RootSystem, add, negate, sub
 
 from conftest import get_basis, get_rs
 from test_atlas import ATLAS
@@ -94,6 +98,104 @@ def test_integral_constants_are_p_plus_one():
                 if add(a, b) in rs._root_set:
                     n = tb.integral_structure_constant(a, b)
                     assert abs(n) == tb.string_length_p(a, b) + 1
+
+
+def fraction_integral_constants(rs):
+    """The sign and norm rules on Fractions, over the extraspecial-derived
+    positive pairs: the reference for the int build, kept here as an oracle.
+    Returns N(u, v) on root coordinates, a Fraction."""
+    norm = {r: rs.inner(r, r) for r in rs.roots}
+    positives = rs.positive_roots
+    pos_set = rs._positive_set
+    root_set = rs._root_set
+    order = {r: k for k, r in enumerate(positives)}
+    special = {}
+
+    def string_length(a, b):
+        p = 0
+        cur = sub(b, a)
+        while cur in root_set:
+            p += 1
+            cur = sub(cur, a)
+        return p
+
+    def n_pos(a, b):
+        if order[a] < order[b]:
+            return special[(a, b)]
+        return -special[(b, a)]
+
+    def n_any(u, v):
+        w = add(u, v)
+        if w not in root_set:
+            return Fraction(0)
+        u_pos = u in pos_set
+        v_pos = v in pos_set
+        if u_pos and v_pos:
+            return n_pos(u, v)
+        if not u_pos and not v_pos:
+            return -n_any(negate(u), negate(v))
+        if not u_pos:
+            return -n_any(v, u)
+        vp = negate(v)
+        if w in pos_set:
+            return -norm[w] / norm[u] * n_pos(vp, w)
+        wp = negate(w)
+        return norm[w] / norm[vp] * n_pos(wp, u)
+
+    for s in positives:  # ordered by height, so lower constants exist first
+        if sum(s) < 2:
+            continue
+        pairs = [
+            (x, sub(s, x))
+            for x in positives
+            if sub(s, x) in pos_set and order[x] < order[sub(s, x)]
+        ]
+        (a, b), rest = pairs[0], pairs[1:]
+        special[(a, b)] = Fraction(string_length(a, b) + 1)
+        for x, y in rest:
+            # four-root relation on (x, y, -a, -b)
+            t2 = Fraction(0)
+            d1 = sub(y, a)
+            if d1 in root_set:
+                t2 = n_any(y, negate(a)) * n_any(x, negate(b)) / norm[d1]
+            t3 = Fraction(0)
+            d2 = sub(x, a)
+            if d2 in root_set:
+                t3 = n_any(negate(a), x) * n_any(y, negate(b)) / norm[d2]
+            special[(x, y)] = norm[s] * (t2 + t3) / special[(a, b)]
+    return n_any
+
+
+def test_integral_constants_match_fraction_rules():
+    # the norm ratios 2 (B, C, F) and 3 (G) are where an inexact int division
+    # would show
+    algebras = [("B", r) for r in range(2, 9)] + [("C", r) for r in range(3, 9)]
+    for t, r in algebras + [("F", 4), ("G", 2)]:
+        tb = get_basis(t, r)
+        reference = fraction_integral_constants(tb.rs)
+        for a in tb.root_order:
+            for b in tb.root_order:
+                n = tb.integral_structure_constant(a, b)
+                assert type(n) is int, (t, r, a, b)
+                assert n == reference(a, b), (t, r, a, b)
+
+
+def test_inexact_norm_rule_raises(monkeypatch):
+    # one short root's squared length doubled: a norm ratio no longer divides
+    # the constant it scales, and the build must raise rather than round
+    inner = RootSystem.inner
+    for t, r, root in [("G", 2, (1, 1)), ("B", 3, (0, 1, 1))]:
+        rs = build_root_system(t, r)
+        assert rs.inner(root, root) < 2  # a short root
+
+        def corrupted(self, beta, gamma, root=root):
+            value = inner(self, beta, gamma)
+            return 2 * value if beta == gamma == root else value
+
+        with monkeypatch.context() as m:
+            m.setattr(RootSystem, "inner", corrupted)
+            with pytest.raises(InternalInvariantError):
+                build_chevalley_basis(rs)
 
 
 def test_killing_opposite_is_the_root_string_trace():
@@ -293,7 +395,25 @@ def chevalley_digests(tb) -> dict[str, str]:
         "structure_constant_sha256": constants.hexdigest(),
         "integral_structure_constant_sha256": integral.hexdigest(),
         "killing_opposite_sha256": killing.hexdigest(),
+        "repr_sha256": repr_digest(tb),
     }
+
+
+def repr_digest(tb) -> str:
+    """SHA-256 of the repr of bracket_index over all ordered index pairs, of
+    weight(mu, i), of theta_index(i) and of phi's terms in order. str writes
+    Fraction(3) as 3, so only repr tells a Fraction entry from an int one."""
+    h = hashlib.sha256()
+    for i in range(tb.dim):
+        for j in range(tb.dim):
+            h.update(f"{i} {j} {tb.bracket_index(i, j)!r}\n".encode())
+    for mu in tb.root_order:
+        for i in range(tb.rank):
+            h.update(f"{mu} {i} {tb.weight(mu, i)!r}\n".encode())
+    for i in range(tb.dim):
+        h.update(f"{i} {tb.theta_index(i)!r}\n".encode())
+    h.update(repr(list(phi(tb).terms.items())).encode())
+    return h.hexdigest()
 
 
 def test_chevalley_digests():
