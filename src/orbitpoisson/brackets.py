@@ -380,20 +380,26 @@ def find_inconsistency_witness(levi: LeviDatum) -> Witness | None:
     quasiroot; a repeated triple (x, y, x); and a four-step chain whose ends
     differ by a quasiroot or coincide.  tests/test_atlas.py checks this on
     every orbit of every simple type of rank at most 8.  The search returns
-    the first hit, walking x, y, z and w in a fixed order."""
-    quasi = levi.quasiroots
-    positive = levi.positive_quasiroots
+    the first hit, walking x, y, z and w in a fixed order.
 
-    for x in positive:
-        if add(x, x) in quasi:
+    The doubled-pair and repeated-triple stages test sums on the additive
+    quasiroot keys of the Levi datum (2x, x + y and x + y + x are each one
+    int addition and one set lookup).  The chained-quadruple stage walks the
+    admissible pairs in set order, which depends on how the set is built; the
+    CLI digests pin the witness that order reports, so it is left as it is."""
+    positive, pkeys = levi.positive_quasiroots, levi.positive_keys
+    keys = levi.quasiroot_keys
+
+    for x, kx in zip(positive, pkeys):
+        if 2 * kx in keys:
             return Witness(x, "doubled-pair", (x, x))
 
-    for x in positive:
-        for y in positive:
-            if y == x:
-                continue
-            if add(x, y) in quasi and add(add(x, x), y) in quasi:
-                return Witness(add(x, y), "repeated-triple", (x, y, x))
+    # y = x cannot hit here: the doubled-pair stage ruled out 2x
+    for x, kx in zip(positive, pkeys):
+        for y, ky in zip(positive, pkeys):
+            kxy = kx + ky
+            if kxy in keys and kxy + kx in keys:
+                return Witness(positive[pkeys.index(kxy)], "repeated-triple", (x, y, x))
 
     # A sum of two positive quasiroots is a quasiroot iff they form an
     # admissible pair; after[a] lists the partners b of a in positive order.
@@ -401,6 +407,7 @@ def find_inconsistency_witness(levi: LeviDatum) -> Witness | None:
     for a, b in levi.pairs:
         after.setdefault(a, []).append(b)
     pairs = set(levi.pairs)
+    quasi = levi.quasiroots
     # x, y run in set order and z, w in positive order: the first hit is the
     # witness the CLI reports. Set order depends on how the set is built, not
     # only on its members: built from a dict instead of the tuple levi.pairs,

@@ -11,7 +11,9 @@ is a single JSON document (``--format text`` renders tables instead).  Reports
 are byte-deterministic for identical inputs; ``--timing`` adds wall-clock
 fields and is therefore off by default.  ``cohomology`` counts the
 weight-zero monomials before it builds the invariant complex and refuses an
-orbit with more than ``--max-monomials`` of them.
+orbit with more than ``--max-monomials`` of them.  Every command refuses a
+type with more than 1000 roots (``MAX_ROOTS``; E8 has 240, A31 has 992)
+before it builds anything, so a mistyped rank fails at once.
 
 Exit codes: 0 success, 2 parse or configuration error, 3 mathematical
 inconsistency witness, 4 internal invariant failure.
@@ -42,7 +44,7 @@ from .brackets import (
 from .chevalley import ChevalleyBasis, build_chevalley_basis
 from .invariants import WeylBoundExceeded, betti_numbers, de_rham_betti, weight_zero_counts
 from .levi import LeviDatum, build_levi
-from .roots import RootSystem, build_root_system
+from .roots import ROOT_COUNTS, RootSystem, build_root_system, validate_type
 from .scalars import format_scalar, parse_scalar
 
 SCHEMA_VERSION = 1
@@ -55,6 +57,9 @@ EXIT_INTERNAL = 4
 # admits D4 with Gamma = {2} (23968 weight-zero monomials, a few minutes of
 # cohomology); the D4 full flag has 79552
 MAX_MONOMIALS = 30000
+
+# the Cartan matrix alone is rank^2, so a mistyped rank must not reach it
+MAX_ROOTS = 1000
 
 
 class ConfigError(ValueError):
@@ -153,9 +158,14 @@ def _base_report(args, command: str) -> dict:
 
 def _build(args) -> tuple[RootSystem, ChevalleyBasis, LeviDatum]:
     try:
-        rs = build_root_system(args.type_label, args.rank)
+        validate_type(args.type_label, args.rank)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    count = ROOT_COUNTS[args.type_label](args.rank)
+    if count > MAX_ROOTS:
+        raise ConfigError(f"{args.type_label}{args.rank} has {count} roots, "
+                          f"more than the limit of {MAX_ROOTS}")
+    rs = build_root_system(args.type_label, args.rank)
     basis = build_chevalley_basis(rs)
     levi = build_levi(rs, _parse_gamma(args.gamma, args.rank))
     return rs, basis, levi

@@ -5,6 +5,16 @@ form the root system of the Levi stabilizer; the remaining roots project onto
 the coordinates outside Gamma, and the nonzero projections (quasiroots) index
 the irreducible summands of the tangent space m.  Projection is literally
 coordinate deletion, so everything here is integer-exact.
+
+Each positive quasiroot q also has an additive int key, sum_j q_j B^j with
+the root system's base B = ``rs.key_base`` = 4h + 1 (h the largest
+highest-root coefficient), so "is this sum a quasiroot" is one int addition
+and one set lookup.  The keys are exact for every sum tested here: a
+quasiroot's coordinates lie in [-h, h] and a sum of at most three positive
+quasiroots has coordinates in [0, 3h], so each coordinate of the difference
+(x + x + y - q, say) lies in [-h, 4h] and is below B in absolute value.  A
+key difference of zero then forces every coordinate difference to zero, so
+equal keys mean equal vectors.
 """
 
 from __future__ import annotations
@@ -49,6 +59,11 @@ class LeviDatum:
         # mixed-sign projections cannot occur: roots are sign-definite
         if 2 * len(self.positive_quasiroots) != len(self.quasiroots):
             raise InternalInvariantError("quasiroots are not split by sign")
+        # the additive keys of the module docstring; key(-q) = -key(q)
+        self.positive_keys = tuple(map(rs.key, self.positive_quasiroots))
+        self.quasiroot_keys = frozenset(self.positive_keys).union(
+            -k for k in self.positive_keys
+        )
         self.simple_quasiroots = tuple(
             self.project(rs.simple_roots[i]) for i in self._free0
         )
@@ -80,30 +95,28 @@ def build_levi(rs: RootSystem, gamma) -> LeviDatum:
 
 
 def admissible_pairs(levi: LeviDatum) -> tuple[tuple[Quasiroot, Quasiroot], ...]:
-    """Ordered pairs of positive quasiroots whose sum is again a quasiroot."""
-    qs = levi.positive_quasiroots
-    out = []
-    for a in qs:
-        for b in qs:
-            if add(a, b) in levi.quasiroots:
-                out.append((a, b))
-    return tuple(out)
+    """Ordered pairs of positive quasiroots whose sum is again a quasiroot,
+    tested on the additive keys."""
+    keyed = tuple(zip(levi.positive_quasiroots, levi.positive_keys))
+    quasi = levi.quasiroot_keys
+    return tuple((a, b) for a, ka in keyed for b, kb in keyed if ka + kb in quasi)
 
 
 def admissible_triples(
     levi: LeviDatum,
 ) -> tuple[tuple[Quasiroot, Quasiroot, Quasiroot], ...]:
     """Ordered triples (a, b, c), repetitions permitted, with a+b, b+c and
-    a+b+c all quasiroots."""
-    qs = levi.positive_quasiroots
-    quasi = levi.quasiroots
+    a+b+c all quasiroots, tested on the additive keys."""
+    keyed = tuple(zip(levi.positive_quasiroots, levi.positive_keys))
+    quasi = levi.quasiroot_keys
     out = []
-    for a in qs:
-        for b in qs:
-            if add(a, b) not in quasi:
+    for a, ka in keyed:
+        for b, kb in keyed:
+            kab = ka + kb
+            if kab not in quasi:
                 continue
-            for c in qs:
-                if add(b, c) in quasi and add(add(a, b), c) in quasi:
+            for c, kc in keyed:
+                if kb + kc in quasi and kab + kc in quasi:
                     out.append((a, b, c))
     return tuple(out)
 

@@ -4,11 +4,23 @@ For every Levi subset Gamma of every simple type of rank at most 8, and for
 A_n with Gamma empty up to n = 20, the highest-root criterion, the A_k chain
 test and the witness search must agree, and the chain and the witness must
 have the shapes the solver relies on.  No Chevalley basis is built.
+
+The witness search and the admissible pairs and triples test sums on additive
+quasiroot keys; the tuple-sum searches they replaced are kept below as the
+oracle, and every orbit of the atlas must give the same results in the same
+order.
 """
 
 from itertools import combinations
 
-from orbitpoisson import build_levi, find_inconsistency_witness, quasiroot_system_type
+from orbitpoisson import (
+    Witness,
+    admissible_pairs,
+    admissible_triples,
+    build_levi,
+    find_inconsistency_witness,
+    quasiroot_system_type,
+)
 from orbitpoisson.roots import add
 
 from conftest import get_rs
@@ -52,6 +64,42 @@ def closed_form(t, n, gamma):
     return t == "A" or not free or (len(free) <= 2 and all(hr[i - 1] == 1 for i in free))
 
 
+def tuple_sum_witness_stages(levi):
+    """The doubled-pair and repeated-triple stages of the witness search, on
+    tuple sums; None when neither hits."""
+    quasi = levi.quasiroots
+    positive = levi.positive_quasiroots
+    for x in positive:
+        if add(x, x) in quasi:
+            return Witness(x, "doubled-pair", (x, x))
+    for x in positive:
+        for y in positive:
+            if y == x:
+                continue
+            if add(x, y) in quasi and add(add(x, x), y) in quasi:
+                return Witness(add(x, y), "repeated-triple", (x, y, x))
+    return None
+
+
+def tuple_sum_pairs(levi):
+    qs = levi.positive_quasiroots
+    return tuple((a, b) for a in qs for b in qs if add(a, b) in levi.quasiroots)
+
+
+def tuple_sum_triples(levi):
+    qs = levi.positive_quasiroots
+    quasi = levi.quasiroots
+    out = []
+    for a in qs:
+        for b in qs:
+            if add(a, b) not in quasi:
+                continue
+            for c in qs:
+                if add(b, c) in quasi and add(add(a, b), c) in quasi:
+                    out.append((a, b, c))
+    return tuple(out)
+
+
 def check_orbit(t, n, gamma):
     levi = build_levi(get_rs(t, n), frozenset(gamma))
     good = closed_form(t, n, gamma)
@@ -77,11 +125,30 @@ def check_orbit(t, n, gamma):
         assert witness.quasiroot in positive, where
 
 
-def test_atlas_decisions_agree():
+def atlas_orbits():
     for t, n in ATLAS:
         for size in range(n + 1):
             for gamma in combinations(range(1, n + 1), size):
-                check_orbit(t, n, gamma)
+                yield t, n, gamma
+
+
+def test_atlas_decisions_agree():
+    for t, n, gamma in atlas_orbits():
+        check_orbit(t, n, gamma)
+
+
+def test_key_searches_match_tuple_sums():
+    for t, n, gamma in atlas_orbits():
+        levi = build_levi(get_rs(t, n), frozenset(gamma))
+        where = f"{t}{n}, gamma={gamma}"
+        witness = find_inconsistency_witness(levi)
+        oracle = tuple_sum_witness_stages(levi)
+        if oracle is None:
+            assert witness is None or witness.pattern == "chained-quadruple", where
+        else:
+            assert repr(witness) == repr(oracle), where
+        assert levi.pairs == admissible_pairs(levi) == tuple_sum_pairs(levi), where
+        assert admissible_triples(levi) == tuple_sum_triples(levi), where
 
 
 def test_large_full_flags_are_chains():

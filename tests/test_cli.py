@@ -140,6 +140,22 @@ def test_bad_inputs_exit_config(capsys):
     assert json.loads(capsys.readouterr().out)["result"]["match"] is True
 
 
+def test_mistyped_rank_fails_fast(capsys):
+    # refused from the root count before the rank^2 Cartan matrix is built
+    started = time.perf_counter()
+    assert main(["classify", "A", "99999999"]) == EXIT_CONFIG
+    assert time.perf_counter() - started < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: A99999999 has 9999999900000000 roots, more than the limit of 1000\n"
+    )
+    # D23 (1012 roots) is the smallest D over the limit; E8 stays within it
+    assert main(["solve", "D", "23", "--mode", "kks"]) == EXIT_CONFIG
+    assert "1012 roots" in capsys.readouterr().err
+    assert main(["classify", "E", "8", "--gamma", "1,2,3,4,5,6,7"]) == EXIT_OK
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "job.cfg"
     cfg.write_text(

@@ -12,6 +12,14 @@ def _raises_assertion_error(node) -> bool:
     )
 
 
+def _called_names(node) -> set:
+    return {
+        n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call)
+    }
+
+
 def test_no_assert_statements():
     # python -O strips assert; internal checks raise InternalInvariantError,
     # never a bare AssertionError
@@ -53,12 +61,7 @@ def test_schouten_kernel_sums_numerators():
     kernel = next(
         n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "schouten"
     )
-    called = {
-        n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
-        for n in ast.walk(kernel)
-        if isinstance(n, ast.Call)
-    }
-    assert called.isdisjoint({"as_scalar", "_accumulate"})
+    assert _called_names(kernel).isdisjoint({"as_scalar", "_accumulate"})
 
 
 def test_elimination_kernel_runs_on_numerators():
@@ -112,3 +115,19 @@ def test_realize_has_no_check_argument():
     fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "realize")
     params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
     assert [a.arg for a in params] == ["b", "basis"]
+
+
+def test_quasiroot_searches_run_on_keys():
+    # the doubled-pair and repeated-triple stages of the witness search and
+    # the admissible pairs and triples test sums on additive int keys, so none
+    # of them builds a tuple sum
+    def functions(module):
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        return {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+    levi, brackets = functions("levi.py"), functions("brackets.py")
+    witness = brackets["find_inconsistency_witness"]
+    stages = [n for n in witness.body if isinstance(n, ast.For)][:2]
+    searches = stages + [levi["admissible_pairs"], levi["admissible_triples"]]
+    assert len(searches) == 4
+    assert [node.lineno for node in searches if "add" in _called_names(node)] == []
