@@ -20,18 +20,19 @@ the Killing-dual of mu, and the cyclic identity
 
 holds with equal (unweighted) values.
 
-The normalized constants live once, in the index-keyed bracket table: each
-entry is rescaled from the integral constant as the table is built, and both
-bracket_index and structure_constant read it.  bracket_denominator, the lcm
-of the table's denominators, turns every coefficient into an integer.
+The normalized constants live once, in bracket_table: {(i, j): ((z, n), ...)}
+for i < j, each n an int over bracket_denominator, the least common
+denominator of the coefficients.  Its Cartan rows are the weights mu(t_i).
+The Schouten kernel and the Levi rows read these ints; bracket_index,
+structure_constant, weight and killing_gram_entry are Fraction views of them.
 
 The build runs on Python ints throughout.  Roots enter by their additive keys
 (roots.RootSystem.key), so "is a + b a root" is one int addition and one
 lookup; squared lengths enter as int numerators over one common denominator,
 of which only ratios are used; and the sign and norm rules and the four-root
 relation divide exactly, raising InternalInvariantError on a remainder.  The
-normalized Fractions of the bracket table, the weights and the Cartan
-involution are made once per distinct (numerator, denominator) and shared.
+table's entries are made as int quotients and put over bracket_denominator
+in one pass at the end.
 
 Basis layout: indices 0..rank-1 are the Cartan elements t_1..t_rank (duals of
 the simple roots), index rank+k is E_mu for the k-th root in the global
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .roots import Coords, InternalInvariantError, RootSystem, negate
@@ -77,14 +78,14 @@ class ChevalleyBasis:
         # E_mu = x_mu / x_scale[key(mu)]: 1 on positive roots
         x_scale = {k: 1 for k in norm if k > 0}
         x_scale.update((-self._key[a], c) for a, c in self._killing_c.items())
-        fraction = _shared_fractions()
-        self._weights = self._weight_table(scale, pairing, norm, den, fraction)
-        self._table = self._bracket_table(x_scale, fraction)
-        #: lcm of the denominators of every bracket_index coefficient
-        self.bracket_denominator = lcm(
-            *(c.denominator for entries in self._table.values() for _, c in entries)
+        # weights mu(t_i) = (mu, a_i) / s = <mu, a_i^vee> |a_i|^2 / 2s: ints
+        # pairing[mu][i] * half[i] over the one denominator 2 s den
+        half = [norm[self._key[a]] * scale.denominator for a in rs.simple_roots]
+        #: {(i, j): ((z, n), ...)} for i < j: [X_i, X_j] = sum n / bracket_denominator X_z
+        self.bracket_table, self.bracket_denominator = self._bracket_table(
+            x_scale, pairing, half, 2 * scale.numerator * den
         )
-        self._theta = self._theta_table(x_scale, fraction)
+        self._theta = self._theta_table(x_scale)
         self._phi_cache = None
 
     # -- integral layer -------------------------------------------------------
@@ -123,19 +124,6 @@ class ChevalleyBasis:
             out[alpha] = value
         return out
 
-    def _weight_table(
-        self, s: Fraction, pairing: dict[Coords, tuple[int, ...]],
-        norm: dict[int, int], den: int, fraction: Callable[..., Fraction],
-    ) -> dict[Coords, tuple[Fraction, ...]]:
-        # weights[mu][i] = mu(t_i) = (mu, a_i) / s = <mu, a_i^vee> |a_i|^2 / 2s,
-        # over the one denominator 2 s den
-        w_den = 2 * s.numerator * den
-        half = [norm[self._key[a]] * s.denominator for a in self.rs.simple_roots]
-        return {
-            mu: tuple(fraction(c * h, w_den) for c, h in zip(p, half))
-            for mu, p in pairing.items()
-        }
-
     # -- normalized layer ------------------------------------------------------
 
     def structure_constant(self, a: Coords, b: Coords) -> Fraction:
@@ -148,52 +136,59 @@ class ChevalleyBasis:
 
     def weight(self, mu: Coords, i: int) -> Fraction:
         """mu(t_i), the action of the i-th Cartan basis element on E_mu."""
-        return self._weights[mu][i]
+        [(_, n)] = self.bracket_table.get((i, self.index_of_root[mu]), ((0, 0),))
+        return Fraction(n, self.bracket_denominator)
 
     # -- bracket table ----------------------------------------------------------
 
     def _bracket_table(
-        self, x_scale: dict[int, int], fraction: Callable[..., Fraction]
-    ) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
-        table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
+        self, x_scale: dict[int, int], pairing: dict[Coords, tuple[int, ...]],
+        half: list[int], w_den: int,
+    ) -> tuple[dict[tuple[int, int], tuple[tuple[int, int], ...]], int]:
+        # entries are made as (z, num, den), then put over their least common den
+        raw: dict[tuple[int, int], tuple[tuple[int, int, int], ...]] = {}
         n = self.rank
         n_int = self._n_int
         index = self._index_of_key
         keys = list(index)
         for k, (mu, km) in enumerate(self._key.items()):
             i_mu = n + k
-            for i, w in enumerate(self._weights[mu]):
-                if w:
-                    table[(i, i_mu)] = ((i_mu, w),)
+            for i, (c, h) in enumerate(zip(pairing[mu], half)):
+                if c:
+                    raw[(i, i_mu)] = ((i_mu, c * h, w_den),)
             s_mu = x_scale[km]
             for i_nu, kn in enumerate(keys[k + 1:], i_mu + 1):
                 ks = km + kn
                 if not ks:
                     # [E_mu, E_-mu] = t_mu
-                    table[(i_mu, i_nu)] = tuple(
-                        (i, fraction(c)) for i, c in enumerate(mu) if c
-                    )
+                    raw[(i_mu, i_nu)] = tuple((i, c, 1) for i, c in enumerate(mu) if c)
                 elif ks in index:
                     # [E_mu, E_nu] = N(mu, nu) x_scale(s) / (x_scale(mu) x_scale(nu)) E_s
-                    value = fraction(n_int(km, kn) * x_scale[ks], s_mu * x_scale[kn])
-                    table[(i_mu, i_nu)] = ((index[ks], value),)
-        return table
+                    raw[(i_mu, i_nu)] = (
+                        (index[ks], n_int(km, kn) * x_scale[ks], s_mu * x_scale[kn]),
+                    )
+        den = lcm(*{q // gcd(p, q) for entries in raw.values() for _, p, q in entries})
+        table = {
+            ij: tuple([(z, p * den // q) for z, p, q in entries]) for ij, entries in raw.items()
+        }
+        return table, den
+
+    def bracket_numerators(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
+        """Bracket of two basis elements as ((index, n), ...), with
+        n / bracket_denominator the coefficient at index."""
+        if i < j:
+            return self.bracket_table.get((i, j), ())
+        return tuple((k, -n) for k, n in self.bracket_table.get((j, i), ()))
 
     def bracket_index(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
         """Bracket of two basis elements as ((index, coefficient), ...)."""
-        if i == j:
-            return ()
-        if i < j:
-            return self._table.get((i, j), ())
-        entries = self._table.get((j, i), ())
-        return tuple((k, -c) for k, c in entries)
+        d = self.bracket_denominator
+        return tuple((k, Fraction(n, d)) for k, n in self.bracket_numerators(i, j))
 
-    def _theta_table(
-        self, x_scale: dict[int, int], fraction: Callable[..., Fraction]
-    ) -> tuple[tuple[int, Fraction], ...]:
-        out = [(i, fraction(-1)) for i in range(self.rank)]
+    def _theta_table(self, x_scale: dict[int, int]) -> tuple[tuple[int, Fraction], ...]:
+        out = [(i, Fraction(-1)) for i in range(self.rank)]
         for k in self._key.values():
-            out.append((self._index_of_key[-k], fraction(-x_scale[-k], x_scale[k])))
+            out.append((self._index_of_key[-k], Fraction(-x_scale[-k], x_scale[k])))
         return tuple(out)
 
     # -- element-level operations ------------------------------------------------
@@ -256,7 +251,7 @@ class ChevalleyBasis:
         n = self.rank
         if i < n and j < n:
             # K(t_i, t_j) = alpha_j(t_i)
-            return self._weights[self.rs.simple_roots[j]][i]
+            return self.weight(self.rs.simple_roots[j], i)
         if i < n or j < n:
             return Fraction(0)
         mu = self.root_order[i - n]
@@ -353,19 +348,6 @@ def _exact(num: int, den: int) -> int:
     if rem:
         raise InternalInvariantError(f"structure constant {num}/{den} is not an integer")
     return q
-
-
-def _shared_fractions() -> Callable[..., Fraction]:
-    """fraction(num, den=1): one Fraction per distinct (num, den), shared."""
-    made: dict[tuple[int, int], Fraction] = {}
-
-    def fraction(num: int, den: int = 1) -> Fraction:
-        f = made.get((num, den))
-        if f is None:
-            f = made[(num, den)] = Fraction(num, den)
-        return f
-
-    return fraction
 
 
 def _string_length(root_keys, a: int, b: int) -> int:

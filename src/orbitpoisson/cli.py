@@ -13,7 +13,9 @@ fields and is therefore off by default.  ``cohomology`` counts the
 weight-zero monomials before it builds the invariant complex and refuses an
 orbit with more than ``--max-monomials`` of them.  Every command refuses a
 type with more than 1000 roots (``MAX_ROOTS``; E8 has 240, A31 has 992)
-before it builds anything, so a mistyped rank fails at once.
+before it builds anything, so a mistyped rank fails at once, and
+``classify --all-gamma`` likewise refuses a sweep of more than 1024 of the
+2^rank orbits (``MAX_SWEEP_ORBITS``; rank 11 and up).
 
 Exit codes: 0 success, 2 parse or configuration error, 3 mathematical
 inconsistency witness, 4 internal invariant failure.
@@ -60,6 +62,10 @@ MAX_MONOMIALS = 30000
 
 # the Cartan matrix alone is rank^2, so a mistyped rank must not reach it
 MAX_ROOTS = 1000
+
+# classify --all-gamma sweeps all 2^rank orbits: 1024 admits rank 10, and
+# each further rank doubles the sweep
+MAX_SWEEP_ORBITS = 1024
 
 
 class ConfigError(ValueError):
@@ -156,7 +162,7 @@ def _base_report(args, command: str) -> dict:
     }
 
 
-def _build(args) -> tuple[RootSystem, ChevalleyBasis, LeviDatum]:
+def _build(args, sweep: bool = False) -> tuple[RootSystem, ChevalleyBasis, LeviDatum]:
     try:
         validate_type(args.type_label, args.rank)
     except ValueError as exc:
@@ -165,6 +171,9 @@ def _build(args) -> tuple[RootSystem, ChevalleyBasis, LeviDatum]:
     if count > MAX_ROOTS:
         raise ConfigError(f"{args.type_label}{args.rank} has {count} roots, "
                           f"more than the limit of {MAX_ROOTS}")
+    if sweep and 2 ** args.rank > MAX_SWEEP_ORBITS:
+        raise ConfigError(f"--all-gamma on {args.type_label}{args.rank} sweeps "
+                          f"{2 ** args.rank} orbits, more than the limit of {MAX_SWEEP_ORBITS}")
     rs = build_root_system(args.type_label, args.rank)
     basis = build_chevalley_basis(rs)
     levi = build_levi(rs, _parse_gamma(args.gamma, args.rank))
@@ -207,7 +216,7 @@ def _classify_one(rs, basis, gamma, seed, lam=None) -> dict:
 
 
 def cmd_classify(args) -> tuple[dict, int]:
-    rs, basis, levi = _build(args)
+    rs, basis, levi = _build(args, sweep=args.all_gamma)
     report = _base_report(args, "classify")
     if args.all_gamma:
         if args.lam is not None:

@@ -119,20 +119,16 @@ def _signature(levi: LeviDatum, basis: ChevalleyBasis, monomial) -> tuple:
 def _levi_rows(basis: ChevalleyBasis, generators, columns, place) -> dict:
     """Stacked rows {(generator, image): {column: coefficient}} of the Levi
     root vectors (basis indices) acting as derivations on index-tuple columns,
-    times the basis-wide bracket_denominator, so every entry is an int; a
-    row scaled by a nonzero constant keeps its kernel.
+    times the basis-wide bracket_denominator: the entries are the ints of
+    ``basis.bracket_numerators``, and a row scaled by a nonzero constant keeps
+    its kernel.
     ``place(t, slot, target)`` puts a bracket output into slot ``slot`` of ``t``
     as ``(sign, image)``, or gives None when the image vanishes.  A Levi root
     plus a tangent root is never 0, so no Cartan images occur."""
-    scale = basis.bracket_denominator
     rows: dict[tuple, dict[int, int]] = {}
     indices = {idx for t in columns for idx in t}
     for x in generators:
-        brackets = {
-            idx: [(z, f.numerator * (scale // f.denominator))
-                  for z, f in basis.bracket_index(x, idx)]
-            for idx in indices
-        }
+        brackets = {idx: basis.bracket_numerators(x, idx) for idx in indices}
         for j, t in enumerate(columns):
             for slot, idx in enumerate(t):
                 for target, coeff in brackets[idx]:

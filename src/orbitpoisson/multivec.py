@@ -174,7 +174,8 @@ def schouten(basis: ChevalleyBasis, u: Multivector, v: Multivector,
     basis index, so each bracket [X_i, Y_j] is looked up once per index pair.
 
     The sums run on Gaussian-integer numerators, (re, im) int pairs over the
-    one denominator D_u * D_v * bracket_denominator; a key whose sum reaches
+    one denominator D_u * D_v * bracket_denominator, with the bracket's ints
+    read straight off ``basis.bracket_table``; a key whose sum reaches
     zero is dropped at once, as in ``_accumulate``, so a later term puts it
     back at the end. Each surviving sum becomes one Gaussian rational.
 
@@ -184,21 +185,18 @@ def schouten(basis: ChevalleyBasis, u: Multivector, v: Multivector,
     if u.degree == 0 or v.degree == 0:
         return Multivector.zero(max(u.degree + v.degree - 1, 0))
     banned = frozenset() if levi is None else gamma_indices(basis, levi)
-    scale = basis.bracket_denominator
+    table = basis.bracket_table
     den_a, groups_a = _grouped_splits(u, banned) if u_groups is None else u_groups
     den_b, groups_b = _grouped_splits(v, banned)
     sums: dict = {}  # key -> (re, im), then the Gaussian rational
     for x, splits_a in groups_a:
         for y, splits_b in groups_b:
-            # the table is read in increasing index order; [X_y, X_x] = -[X_x, X_y]
-            br = basis.bracket_index(x, y) if x < y else basis.bracket_index(y, x)
+            # the table is keyed in increasing index order; [X_y, X_x] = -[X_x, X_y]
+            br = table.get((x, y) if x < y else (y, x))
             if not br:
                 continue
             flip = -1 if x > y else 1
-            br = [
-                (z, flip * f.numerator * (scale // f.denominator))
-                for z, f in br if z not in banned
-            ]
+            br = [(z, flip * n) for z, n in br if z not in banned]
             if not br:
                 continue
             for sa, (ra, ia), rest_a in splits_a:
@@ -224,7 +222,7 @@ def schouten(basis: ChevalleyBasis, u: Multivector, v: Multivector,
                                 sums[key] = (tr, ti)
                             else:
                                 del sums[key]
-    den = den_a * den_b * scale
+    den = den_a * den_b * basis.bracket_denominator
     for key, (re, im) in sums.items():  # in place: no second dict of terms
         sums[key] = _gq(Fraction(re, den), Fraction(im, den) if im else _F0)
     out = Multivector.zero(u.degree + v.degree - 1)

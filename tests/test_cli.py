@@ -108,6 +108,7 @@ def test_bad_inputs_exit_config(capsys):
          "--seed-c", "x"],
         ["classify", "B", "2", "--all-gamma", "--lambda", "1,1"],
         ["classify", "A", "2", "--gamma", "1", "--all-gamma"],
+        ["classify", "A", "11", "--all-gamma"],
         ["classify", "B", "2", "--lambda", "1,x"],
         ["--config=", "solve", "A", "2", "--mode", "kks"],
         ["solve", "A", "2", "--mode", "kks", "--lambda", "1/0,1"],
@@ -153,6 +154,9 @@ def test_mistyped_rank_fails_fast(capsys):
     # D23 (1012 roots) is the smallest D over the limit; E8 stays within it
     assert main(["solve", "D", "23", "--mode", "kks"]) == EXIT_CONFIG
     assert "1012 roots" in capsys.readouterr().err
+    # an --all-gamma sweep of A11 has 2^11 orbits, over the limit of 1024
+    assert main(["classify", "A", "11", "--all-gamma"]) == EXIT_CONFIG
+    assert "sweeps 2048 orbits" in capsys.readouterr().err
     assert main(["classify", "E", "8", "--gamma", "1,2,3,4,5,6,7"]) == EXIT_OK
 
 

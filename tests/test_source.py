@@ -47,8 +47,8 @@ def test_no_projection_of_a_full_bracket():
 
 
 def test_levi_actions_read_the_bracket_table():
-    # the Levi actions act on basis indices through bracket_index, the one
-    # table of normalized structure constants
+    # the Levi actions act on basis indices through the bracket table, which
+    # holds the normalized structure constants once
     lines = (SRC / "invariants.py").read_text(encoding="utf-8").splitlines()
     found = [n for n, line in enumerate(lines, 1) if "structure_constant(" in line]
     assert found == []
@@ -62,6 +62,25 @@ def test_schouten_kernel_sums_numerators():
         n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "schouten"
     )
     assert _called_names(kernel).isdisjoint({"as_scalar", "_accumulate"})
+
+
+def test_bracket_readers_take_the_table_ints():
+    # the Schouten kernel and the Levi rows read the bracket table's ints over
+    # bracket_denominator, so neither goes through the Fraction view
+    # bracket_index or turns a Fraction back into an int
+    def function(module, name):
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        return next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+    readers = [function("multivec.py", "schouten"), function("invariants.py", "_levi_rows")]
+    banned = {"bracket_index", "numerator", "denominator"}
+    found = [
+        (fn.name, n.attr)
+        for fn in readers
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Attribute) and n.attr in banned
+    ]
+    assert found == []
 
 
 def test_elimination_kernel_runs_on_numerators():
